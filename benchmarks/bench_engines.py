@@ -14,7 +14,7 @@ bit-identical across engines, so the comparison is pure runtime.  Writes
      "speedup_threads_vs_sim": <sim wall / threads wall>}
 
 The process engine runs one OS process per virtual PE, so its speedup
-over the GIL-serialised sim engine scales with the machine's cores: the
+over the one-PE-at-a-time sim engine scales with the machine's cores: the
 redundant per-PE work (initial partitioning on all PEs, both sides of
 every refinement pair) executes concurrently instead of interleaved.
 The threads engine shares one process — zero graph-copy and zero

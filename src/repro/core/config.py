@@ -90,14 +90,15 @@ class KappaConfig:
     n_pes: Optional[int] = None  # None → one PE per block (paper setting)
     prepartition: str = "auto"   # "geometric" | "numbering" | "auto"
     #: execution engine for the cluster path: "sequential" (deterministic
-    #: token-passing), "sim" (threads + cost model, reports simulated
-    #: makespan — the paper default), "process" (one OS process per PE)
+    #: token-passing), "sim" (the same scheduling plus a cost clock,
+    #: reports simulated makespan — the paper default), "process" (one
+    #: OS process per PE)
     #: or "threads" (one thread per PE over shared CSR views, with a
     #: work-stealing queue for per-pair FM) — all bit-identical
     engine: str = "sim"
     #: receive timeout in seconds for engines that detect deadlocks by
-    #: timeout (sim, process, threads).  None → $REPRO_RECV_TIMEOUT_S
-    #: → 60 s.
+    #: timeout (process, threads; sequential and sim detect them
+    #: structurally).  None → $REPRO_RECV_TIMEOUT_S → 60 s.
     recv_timeout_s: Optional[float] = None
 
     # -- resilience (repro.resilience) ---------------------------------

@@ -8,8 +8,10 @@ base.Engine` decides *how* the ``p`` virtual PEs actually execute:
     Token-passing cooperative scheduling — one PE at a time, a schedule
     that depends only on the program.  Structural deadlock detection.
 ``sim``
-    One thread per PE plus a LogP-style cost model; reports simulated
-    parallel time (``makespan``).  The paper-reproduction default.
+    The sequential engine's token passing plus a LogP-style cost clock
+    per PE; reports simulated parallel time (``makespan``).  Structural
+    deadlock detection, no receive timeout.  The paper-reproduction
+    default.
 ``process``
     One OS process per PE, shared-memory graph, pickle-free message
     pipes.  Real wall-clock parallelism on multi-core hosts.
@@ -79,7 +81,9 @@ def get_engine(name: str, p: int, machine=None,
     the threads engine (message faults as send-side latency) — the
     sequential and sim engines run their PEs in one OS process with no
     wire at all, so their fault injection happens inside the SPMD
-    program instead.
+    program instead.  ``recv_timeout_s`` bounds blocking waits on the
+    process and threads engines; the sequential and sim engines detect
+    deadlocks structurally and never time out.
     """
     try:
         cls = ENGINES[name]

@@ -17,8 +17,9 @@ the *protocol* without pulling in any particular runtime:
   (makespan, per-PE phase timers, message/byte counts).
 
 Concrete engines live in sibling modules: sequential (deterministic
-cooperative scheduling on one thread), sim (threads + the simulated-time
-cost model) and process (one OS process per PE).  This module must not
+cooperative scheduling, one PE at a time), sim (the sequential scheduler
+plus the simulated-time cost clock), process (one OS process per PE) and
+threads (one thread per PE over shared memory).  This module must not
 import any of them — it is the dependency floor of the engine layer.
 """
 
@@ -153,8 +154,9 @@ class EngineResult:
 
     ``makespan`` is engine-specific: simulated seconds for the sim
     engine (the Figure 3 quantity), wall-clock seconds of the slowest PE
-    for the process engine, and ``None`` for the sequential engine
-    (whose execution is serialised, so a per-PE makespan is meaningless).
+    for the process and threads engines, and ``None`` for the sequential
+    engine (whose execution is serialised, so a per-PE makespan is
+    meaningless).
     ``phase_times`` holds one ``{phase: seconds}`` dict per PE, filled by
     ``comm.timed(...)`` blocks inside the SPMD program and aggregated
     into the Tracer by the partitioner driver.  ``counters`` holds one
@@ -288,8 +290,8 @@ class CommBase:
     def allreduce(self, value: Any,
                   op: Optional[Callable[[Any, Any], Any]] = None) -> Any:
         """All-reduce with a binary ``op`` (default: addition), folded in
-        rank order on every PE — the same fold as the simulated comm, so
-        non-associative ops cannot diverge between engines."""
+        rank order on every PE, so non-associative ops cannot diverge
+        between engines."""
         vals = self._exchange_recorded(value)
         acc = vals[0]
         for v in vals[1:]:
@@ -322,8 +324,7 @@ class CommBase:
         breaks the symmetry so engines with bounded channel buffers
         cannot deadlock on large payloads — and fixes the send/recv hook
         order per rank, so the causal event log (trace schema /3) is
-        identical on every engine.  The sim Comm implements the same
-        rank-ordered protocol."""
+        identical on every engine."""
         if peer == self.rank:
             raise ValueError("sendrecv with self")
         if self.rank < peer:
@@ -342,7 +343,7 @@ class Engine(ABC):
     cheap to construct; all heavy lifting happens in :meth:`run`.
     """
 
-    #: registry key ("sequential" | "sim" | "process")
+    #: registry key ("sequential" | "sim" | "process" | "threads")
     name: str = "abstract"
 
     def __init__(self, p: int, recv_timeout_s: Optional[float] = None) -> None:

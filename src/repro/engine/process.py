@@ -1,7 +1,7 @@
 """Process engine: one real OS process per virtual PE.
 
 The simulated engine reproduces the paper's *algorithmic* behaviour but
-its threads share the GIL, so wall clock never improves with PE count.
+runs one PE at a time, so wall clock never improves with PE count.
 This engine runs every PE as a real ``multiprocessing`` process:
 
 * the input CSR graph is placed in shared memory once
@@ -22,7 +22,8 @@ simulated engines' bit for bit — the cross-engine equivalence suite
 enforces exactly this.
 
 Wall-clock speedup over the simulated engine scales with physical cores:
-redundant per-PE work that the GIL serialises runs concurrently here.
+redundant per-PE work that sim runs one PE after another runs
+concurrently here.
 On a single-core host the engine still works but cannot be faster.
 
 Resilience (:mod:`repro.resilience`) plugs in through an optional

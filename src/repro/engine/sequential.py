@@ -12,7 +12,9 @@ the deterministic default for debugging SPMD phases.
 Because the scheduler knows every PE's blocking state, deadlocks are
 detected *structurally* (no runnable PE left) and reported immediately
 with a per-PE diagnostic of which operation each stuck PE is waiting on —
-no timeout needed, unlike the thread-based simulated engine.
+no timeout needed.  The simulated engine
+(:mod:`repro.engine.simulated`) is this scheduler plus a cost clock, so
+it inherits the same detection.
 
 Threads are used as coroutine carriers only; the token discipline means
 there is no concurrency and no data race by construction.
@@ -38,8 +40,9 @@ class _Aborted(BaseException):
 class _SeqShared:
     """Scheduler state shared by all virtual PEs of one run."""
 
-    def __init__(self, p: int) -> None:
+    def __init__(self, p: int, engine: str) -> None:
         self.p = p
+        self.engine = engine                # named in deadlock diagnostics
         self.cv = threading.Condition()
         self.token = 0
         self.state = ["ready"] * p          # ready | running | blocked | done
@@ -78,7 +81,7 @@ class _SeqShared:
             for r in range(self.p) if self.state[r] == "blocked"
         )
         err = DeadlockError(
-            f"SPMD deadlock (engine=sequential): no runnable PE — {stuck}"
+            f"SPMD deadlock (engine={self.engine}): no runnable PE — {stuck}"
         )
         if self.failure is None:
             self.failure = err
@@ -200,10 +203,13 @@ class SequentialEngine(Engine):
 
     name = "sequential"
 
+    def _make_comms(self, shared: _SeqShared) -> List[SequentialComm]:
+        return [SequentialComm(r, shared) for r in range(self.p)]
+
     def run(self, fn: Callable[..., Any], *args: Any,
             **kwargs: Any) -> EngineResult:
-        shared = _SeqShared(self.p)
-        comms = [SequentialComm(r, shared) for r in range(self.p)]
+        shared = _SeqShared(self.p, self.name)
+        comms = self._make_comms(shared)
         results: List[Any] = [None] * self.p
         errors: List[Optional[BaseException]] = [None] * self.p
 
@@ -249,6 +255,10 @@ class SequentialEngine(Engine):
                 raise err
         if shared.failure is not None:
             raise shared.failure
+        return self._result(results, comms)
+
+    def _result(self, results: List[Any],
+                comms: List[SequentialComm]) -> EngineResult:
         return EngineResult(
             results=results,
             makespan=None,

@@ -1,16 +1,15 @@
 """Threads engine: one worker thread per virtual PE over shared memory.
 
-The simulated engine also runs threads, but spends its cycles on the
-LogP cost model (every message is sized with ``payload_nbytes`` twice,
-every collective crosses two pre-sized barriers).  This engine is the
-raw-speed sibling: no cost model, no wire codec, no process forking —
-one Python thread per PE communicating through in-process queues, with
-the input CSR graph placed in a :class:`~repro.engine.shm.SharedGraph`
-block and mapped as a zero-copy view by every PE, exactly the layout the
-process engine's workers see.  Where the interpreter releases the GIL
-(numpy kernels, a JIT'd ``nogil`` kernel backend, ``time.sleep``) the
-PEs run truly concurrently; on a single core the engine still wins over
-sim by skipping the model entirely.
+The sequential and simulated engines also carry each PE on a thread,
+but let only one PE run at a time (token passing), and sim adds the
+LogP cost model on top.  This engine is the raw-speed sibling: no token,
+no cost model, no wire codec, no process forking — one Python thread per
+PE communicating through in-process queues, with the input CSR graph
+placed in a :class:`~repro.engine.shm.SharedGraph` block and mapped as a
+zero-copy view by every PE, exactly the layout the process engine's
+workers see.  Where the interpreter releases the GIL (numpy kernels, a
+JIT'd ``nogil`` kernel backend, ``time.sleep``) the PEs run truly
+concurrently.
 
 Three design points keep it bit-identical to the other engines:
 
@@ -294,7 +293,7 @@ class ThreadsComm(CommBase):
         """Rendezvous over round-numbered slot records.  Keying rounds by
         a per-PE counter (identical across PEs — collectives are globally
         ordered in an SPMD program) lets consecutive collectives coexist
-        without the sim engine's double barrier."""
+        without a second barrier, as in the sequential engine."""
         sh = self.shared
         rid = self._round
         self._round += 1
@@ -421,8 +420,11 @@ class ThreadsEngine(Engine):
                 ]
                 for t in threads:
                     t.start()
+                # Unbounded, like the sequential engine: a PE computing
+                # without communicating is slow, not stuck.  A real
+                # deadlock ends in the recv/collective/map_batch deadlines.
                 for t in threads:
-                    t.join(timeout=10 * self.recv_timeout_s)
+                    t.join()
         finally:
             for sg in blocks:
                 sg.cleanup()

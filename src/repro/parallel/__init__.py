@@ -1,7 +1,10 @@
-"""Simulated message-passing cluster: virtual PEs, cost model, and the
-distributed quotient-graph edge coloring."""
+"""Cluster cost model and the distributed quotient-graph edge coloring.
 
-from .comm import Clock, Comm, SimCluster, ClusterResult, run_spmd, DeadlockError
+The communicators that run SPMD programs live in :mod:`repro.engine`;
+the simulated cluster is :class:`repro.engine.SimulatedEngine`, which
+charges the :class:`MachineModel` defined here."""
+
+from ..engine.base import DeadlockError
 from .costmodel import MachineModel, DEFAULT_MACHINE, payload_nbytes
 from .coloring import (
     greedy_edge_coloring,
@@ -12,11 +15,6 @@ from .coloring import (
 )
 
 __all__ = [
-    "Clock",
-    "Comm",
-    "SimCluster",
-    "ClusterResult",
-    "run_spmd",
     "DeadlockError",
     "MachineModel",
     "DEFAULT_MACHINE",

@@ -11,7 +11,7 @@ from repro.coarsening import (
 )
 from repro.generators import random_geometric_graph
 from repro.graph import from_edge_list, validate_matching
-from repro.parallel import SimCluster
+from repro.engine import get_engine
 from tests.conftest import random_graphs
 
 
@@ -77,7 +77,8 @@ class TestParallelMatching:
         for p in (2, 3, 4):
             owner = prepartition(g, p)
             m_seq = parallel_matching(g, owner, p, seed=7)
-            res = SimCluster(p).run(parallel_matching_spmd, g, owner, seed=7)
+            res = get_engine("sim", p).run(parallel_matching_spmd, g, owner,
+                                           seed=7)
             for r in range(p):
                 assert np.array_equal(res.results[r], m_seq)
 
@@ -119,5 +120,6 @@ class TestParallelMatching:
         owner = prepartition(g, p)
         m_seq = parallel_matching(g, owner, p, seed=seed)
         validate_matching(g, m_seq)
-        res = SimCluster(p).run(parallel_matching_spmd, g, owner, seed=seed)
+        res = get_engine("sim", p).run(parallel_matching_spmd, g, owner,
+                                       seed=seed)
         assert np.array_equal(res.results[0], m_seq)

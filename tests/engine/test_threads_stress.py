@@ -156,3 +156,16 @@ def test_map_batch_propagates_first_error_by_index():
     res = eng.run(program)
     # lowest-index failure wins regardless of who executed what
     assert res.results[0] == "task 3 failed"
+
+
+def test_slow_pe_result_is_not_dropped():
+    """A PE that computes past ``10 * recv_timeout_s`` without talking is
+    slow, not deadlocked: the engine must wait for it instead of
+    returning ``None`` in its result slot."""
+    def program(comm):
+        if comm.rank == 1:
+            time.sleep(1.5)
+        return comm.rank
+
+    res = ThreadsEngine(2, recv_timeout_s=0.1).run(program)
+    assert res.results == [0, 1]

@@ -17,7 +17,7 @@ from repro.initial import (
     spectral_bisection,
     spread_seeds,
 )
-from repro.parallel import SimCluster
+from repro.engine import get_engine
 from tests.conftest import random_graphs
 
 
@@ -151,8 +151,8 @@ class TestRunner:
 
     def test_spmd_all_pes_agree_and_beats_single(self):
         g = delaunay_graph(250, seed=7)
-        res = SimCluster(4).run(initial_partition_spmd, g, 4,
-                                repeats=2, seed=1)
+        res = get_engine("sim", 4).run(initial_partition_spmd, g, 4,
+                                       repeats=2, seed=1)
         base = res.results[0]
         assert all(np.array_equal(base, r) for r in res.results)
         # 4 PEs x 2 repeats explores at least as well as 1 x 2

@@ -1,13 +1,34 @@
+"""Communicator tests.
+
+Protocol cases (point to point, collectives, errors, determinism) run
+the same SPMD program on every engine and require identical results;
+the simulated-time cases run on the sim engine and read its cost clock
+(``comm.clock.time``, ``EngineResult.clocks``/``makespan``).
+"""
+
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    DeadlockError,
-    MachineModel,
-    SimCluster,
-    payload_nbytes,
-    run_spmd,
-)
+from repro.engine import ENGINES, get_engine
+from repro.parallel import DeadlockError, MachineModel, payload_nbytes
+
+ALL_ENGINES = sorted(ENGINES)
+
+
+def run_all(p, prog, engines=ALL_ENGINES):
+    """Run ``prog`` on ``p`` PEs under each engine; all must agree."""
+    runs = {e: get_engine(e, p, recv_timeout_s=5.0).run(prog)
+            for e in engines}
+    reference = runs["sequential"].results
+    for engine, res in runs.items():
+        assert res.results == reference, engine
+    return runs["sim"]
+
+
+def raises_on_all(p, prog, exc, match=None):
+    for engine in ALL_ENGINES:
+        with pytest.raises(exc, match=match):
+            get_engine(engine, p, recv_timeout_s=2.0).run(prog)
 
 
 class TestPointToPoint:
@@ -18,7 +39,7 @@ class TestPointToPoint:
                 return None
             return comm.recv(source=0)
 
-        res = SimCluster(2).run(prog)
+        res = run_all(2, prog)
         assert res.results[1] == {"x": 1}
 
     def test_fifo_per_channel(self):
@@ -29,7 +50,7 @@ class TestPointToPoint:
                 return None
             return [comm.recv(0) for _ in range(5)]
 
-        res = SimCluster(2).run(prog)
+        res = run_all(2, prog)
         assert res.results[1] == [0, 1, 2, 3, 4]
 
     def test_tags_are_independent_channels(self):
@@ -43,7 +64,7 @@ class TestPointToPoint:
             a = comm.recv(0, tag=1)
             return (a, b)
 
-        res = SimCluster(2).run(prog)
+        res = run_all(2, prog)
         assert res.results[1] == ("a", "b")
 
     def test_sendrecv_exchange(self):
@@ -51,76 +72,76 @@ class TestPointToPoint:
             peer = 1 - comm.rank
             return comm.sendrecv(comm.rank * 10, peer)
 
-        res = SimCluster(2).run(prog)
+        res = run_all(2, prog)
         assert res.results == [10, 0]
 
     def test_recv_timeout_raises_deadlock(self):
+        """A recv nobody answers: structural detection on the token
+        engines, the receive deadline on threads/process."""
         def prog(comm):
             if comm.rank == 0:
                 comm.recv(1, timeout=0.2)
 
-        with pytest.raises(DeadlockError):
-            SimCluster(2).run(prog)
+        raises_on_all(2, prog, DeadlockError)
 
     def test_bad_dest(self):
         def prog(comm):
             comm.send(1, dest=5)
 
-        with pytest.raises(ValueError):
-            SimCluster(2).run(prog)
+        raises_on_all(2, prog, ValueError)
 
     def test_numpy_payload(self):
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.arange(10), 1)
                 return None
-            return comm.recv(0)
+            arr = comm.recv(0)
+            return arr.dtype.str, arr.tolist()
 
-        res = SimCluster(2).run(prog)
-        assert np.array_equal(res.results[1], np.arange(10))
+        res = run_all(2, prog)
+        assert res.results[1] == (np.arange(10).dtype.str, list(range(10)))
 
 
 class TestCollectives:
     def test_allreduce_sum(self):
-        res = SimCluster(4).run(lambda c: c.allreduce(c.rank + 1))
+        res = run_all(4, lambda c: c.allreduce(c.rank + 1))
         assert res.results == [10, 10, 10, 10]
 
     def test_allreduce_custom_op(self):
-        res = SimCluster(4).run(lambda c: c.allreduce(c.rank, op=max))
+        res = run_all(4, lambda c: c.allreduce(c.rank, op=max))
         assert res.results == [3, 3, 3, 3]
 
     def test_bcast(self):
         def prog(comm):
             return comm.bcast("root-data" if comm.rank == 2 else None, root=2)
 
-        res = SimCluster(3).run(prog)
+        res = run_all(3, prog)
         assert res.results == ["root-data"] * 3
 
     def test_gather(self):
         def prog(comm):
             return comm.gather(comm.rank**2, root=0)
 
-        res = SimCluster(3).run(prog)
+        res = run_all(3, prog)
         assert res.results[0] == [0, 1, 4]
         assert res.results[1] is None
 
     def test_allgather(self):
-        res = SimCluster(3).run(lambda c: c.allgather(c.rank))
+        res = run_all(3, lambda c: c.allgather(c.rank))
         assert res.results == [[0, 1, 2]] * 3
 
     def test_alltoall(self):
         def prog(comm):
             return comm.alltoall([f"{comm.rank}->{d}" for d in range(comm.size)])
 
-        res = SimCluster(3).run(prog)
+        res = run_all(3, prog)
         assert res.results[1] == ["0->1", "1->1", "2->1"]
 
     def test_alltoall_wrong_length(self):
         def prog(comm):
             comm.alltoall([1])
 
-        with pytest.raises(ValueError):
-            SimCluster(2).run(prog)
+        raises_on_all(2, prog, ValueError)
 
     def test_consecutive_collectives(self):
         def prog(comm):
@@ -129,11 +150,11 @@ class TestCollectives:
             comm.barrier()
             return (a, b)
 
-        res = SimCluster(4).run(prog)
+        res = run_all(4, prog)
         assert res.results == [(4, 8)] * 4
 
     def test_single_pe(self):
-        res = SimCluster(1).run(lambda c: c.allreduce(5))
+        res = run_all(1, lambda c: c.allreduce(5))
         assert res.results == [5]
 
 
@@ -144,9 +165,10 @@ class TestSimulatedTime:
             return comm.clock.time
 
         m = MachineModel(work_unit_s=1e-6)
-        res = SimCluster(1, machine=m).run(prog)
+        res = get_engine("sim", 1, machine=m).run(prog)
         assert np.isclose(res.results[0], 1e-3)
         assert np.isclose(res.makespan, 1e-3)
+        assert res.clocks == res.results
 
     def test_message_time_includes_bytes(self):
         m = MachineModel(latency_s=1.0, byte_time_s=0.5)
@@ -168,8 +190,9 @@ class TestSimulatedTime:
             comm.recv(0)
             return comm.clock.time
 
-        res = SimCluster(2, machine=m).run(prog)
-        assert np.isclose(res.results[1], 6.0)  # 5 compute + 1 latency
+        res = get_engine("sim", 2, machine=m).run(prog)
+        assert res.results == [5.0, 6.0]  # 5 compute + 1 latency
+        assert res.clocks == [5.0, 6.0]
 
     def test_makespan_is_max(self):
         def prog(comm):
@@ -177,8 +200,9 @@ class TestSimulatedTime:
             return None
 
         m = MachineModel(work_unit_s=1.0)
-        res = SimCluster(3, machine=m).run(prog)
-        assert np.isclose(res.makespan, 300.0)
+        res = get_engine("sim", 3, machine=m).run(prog)
+        assert res.clocks == [100.0, 200.0, 300.0]
+        assert res.makespan == 300.0
 
     def test_barrier_syncs_clocks(self):
         m = MachineModel(latency_s=0.0, work_unit_s=1.0)
@@ -188,7 +212,7 @@ class TestSimulatedTime:
             comm.barrier()
             return comm.clock.time
 
-        res = SimCluster(2, machine=m).run(prog)
+        res = get_engine("sim", 2, machine=m).run(prog)
         assert np.allclose(res.results, [200.0, 200.0])
 
     def test_stats_counted(self):
@@ -199,7 +223,7 @@ class TestSimulatedTime:
             comm.recv(0)
             return None
 
-        res = SimCluster(2).run(prog)
+        res = get_engine("sim", 2).run(prog)
         assert res.messages_sent == 1
         assert res.bytes_sent == 800
 
@@ -211,12 +235,12 @@ class TestErrors:
                 raise RuntimeError("boom")
             comm.barrier()
 
-        with pytest.raises(RuntimeError, match="boom"):
-            SimCluster(2).run(prog)
+        raises_on_all(2, prog, RuntimeError, match="boom")
 
     def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            SimCluster(0)
+        for engine in ALL_ENGINES:
+            with pytest.raises(ValueError):
+                get_engine(engine, 0)
 
 
 class TestDeterminism:
@@ -224,7 +248,7 @@ class TestDeterminism:
         def prog(comm):
             return float(comm.derive_rng(42).random())
 
-        res = SimCluster(4).run(prog)
+        res = run_all(4, prog)
         assert len(set(res.results)) == 4  # distinct streams per PE
 
     def test_repeated_runs_identical(self):
@@ -233,8 +257,8 @@ class TestDeterminism:
             vals = comm.allgather(float(rng.random()))
             return tuple(vals)
 
-        r1 = run_spmd(4, prog)
-        r2 = run_spmd(4, prog)
+        r1 = run_all(4, prog)
+        r2 = run_all(4, prog)
         assert r1.results == r2.results
 
 

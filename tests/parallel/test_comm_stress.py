@@ -1,9 +1,14 @@
-"""Stress and concurrency-pattern tests for the simulated cluster."""
+"""Communication-pattern and clock-semantics stress tests.
 
-import numpy as np
+Patterns run on every engine and must agree; clock semantics run on the
+sim engine's cost clock."""
+
 import pytest
 
-from repro.parallel import MachineModel, SimCluster
+from repro.engine import get_engine
+from repro.parallel import MachineModel
+
+from .test_comm import ALL_ENGINES, run_all
 
 
 class TestCommunicationPatterns:
@@ -15,7 +20,7 @@ class TestCommunicationPatterns:
             comm.send(comm.rank, right)
             return comm.recv(left)
 
-        res = SimCluster(6).run(prog)
+        res = run_all(6, prog)
         assert res.results == [5, 0, 1, 2, 3, 4]
 
     def test_butterfly_allreduce_by_hand(self):
@@ -30,7 +35,7 @@ class TestCommunicationPatterns:
                 dim += 1
             return val
 
-        res = SimCluster(8).run(prog)
+        res = run_all(8, prog)
         assert res.results == [36] * 8
 
     def test_master_worker(self):
@@ -43,7 +48,7 @@ class TestCommunicationPatterns:
             comm.send(payload * 2, 0, tag=1)
             return None
 
-        res = SimCluster(4).run(prog)
+        res = run_all(4, prog)
         assert res.results[0] == [20, 40, 60]
 
     def test_many_small_messages(self):
@@ -54,9 +59,10 @@ class TestCommunicationPatterns:
                 return None
             return sum(comm.recv(0) for _ in range(200))
 
-        res = SimCluster(2).run(prog)
-        assert res.results[1] == sum(range(200))
-        assert res.messages_sent == 200
+        for engine in ALL_ENGINES:
+            res = get_engine(engine, 2).run(prog)
+            assert res.results[1] == sum(range(200))
+            assert res.messages_sent == 200, engine
 
     def test_interleaved_tags_and_collectives(self):
         def prog(comm):
@@ -67,11 +73,14 @@ class TestCommunicationPatterns:
             comm.barrier()
             return (total, got)
 
-        res = SimCluster(2).run(prog)
+        res = run_all(2, prog)
         assert res.results == [(2, 1), (2, 0)]
 
     def test_sixteen_pes(self):
-        res = SimCluster(16).run(lambda c: c.allreduce(c.rank))
+        # in-process engines only: sixteen forked workers buy no extra
+        # protocol coverage over the 8-PE butterfly above
+        res = run_all(16, lambda c: c.allreduce(c.rank),
+                      engines=("sequential", "sim", "threads"))
         assert res.results[0] == sum(range(16))
 
 
@@ -85,13 +94,15 @@ class TestClockSemantics:
             stamps.append(comm.clock.time)
             comm.barrier()
             stamps.append(comm.clock.time)
-            x = comm.allreduce(comm.rank)
+            comm.allreduce(comm.rank)
             stamps.append(comm.clock.time)
             return stamps
 
-        res = SimCluster(4, machine=m).run(prog)
+        res = get_engine("sim", 4, machine=m).run(prog)
         for stamps in res.results:
             assert stamps == sorted(stamps)
+        # 10 compute, then two 2-round collectives at 1 s per round
+        assert res.clocks == [14.0] * 4
 
     def test_makespan_at_least_critical_path(self):
         m = MachineModel(latency_s=1.0, byte_time_s=0.0, work_unit_s=1.0)
@@ -104,13 +115,13 @@ class TestClockSemantics:
             if comm.rank < comm.size - 1:
                 comm.send("go", comm.rank + 1)
 
-        res = SimCluster(3, machine=m).run(prog)
+        res = get_engine("sim", 3, machine=m).run(prog)
         # critical path: 3 * 10 compute + 2 latencies
-        assert res.makespan >= 32.0 - 1e-9
+        assert res.makespan == pytest.approx(32.0)
+        assert res.clocks == pytest.approx([10.0, 21.0, 32.0])
 
     def test_collective_cost_grows_with_p(self):
         def timed(p):
-            res = SimCluster(p).run(lambda c: c.barrier())
-            return res.makespan
+            return get_engine("sim", p).run(lambda c: c.barrier()).makespan
 
         assert timed(16) > timed(2)

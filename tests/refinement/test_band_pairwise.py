@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core import metrics
 from repro.generators import delaunay_graph, random_geometric_graph
 from repro.graph import from_edge_list, grid2d_graph
-from repro.parallel import SimCluster
+from repro.engine import get_engine
 from repro.refinement import (
     extract_band,
     pairwise_refinement,
@@ -140,7 +140,7 @@ class TestSPMDEquivalence:
             g, part0, k, seed=11, coloring="distributed",
             max_global_iterations=3,
         )
-        res = SimCluster(k).run(
+        res = get_engine("sim", k).run(
             pairwise_refinement_spmd, g, part0, seed=11,
             max_global_iterations=3,
         )
@@ -150,7 +150,7 @@ class TestSPMDEquivalence:
     def test_spmd_charges_simulated_time(self):
         g = random_geometric_graph(300, seed=6)
         part0 = np.random.default_rng(4).integers(0, 2, g.n)
-        res = SimCluster(2).run(
+        res = get_engine("sim", 2).run(
             pairwise_refinement_spmd, g, part0, seed=1,
             max_global_iterations=2,
         )

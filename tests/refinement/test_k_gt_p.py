@@ -8,7 +8,8 @@ import pytest
 from repro.core import MINIMAL, KappaPartitioner, metrics
 from repro.generators import delaunay_graph, random_geometric_graph
 from repro.graph import complete_graph, cycle_graph
-from repro.parallel import SimCluster, distributed_edge_coloring_spmd, verify_edge_coloring
+from repro.engine import get_engine
+from repro.parallel import distributed_edge_coloring_spmd, verify_edge_coloring
 from repro.refinement import pairwise_refinement, pairwise_refinement_spmd
 
 
@@ -26,10 +27,12 @@ class TestMultiplexedColoring:
     def test_p_independent_coloring(self, p):
         q = complete_graph(6)
         full = merge_colorings(
-            SimCluster(6).run(distributed_edge_coloring_spmd, q, 3).results
+            get_engine("sim", 6).run(distributed_edge_coloring_spmd, q,
+                                     3).results
         )
         multi = merge_colorings(
-            SimCluster(p).run(distributed_edge_coloring_spmd, q, 3).results
+            get_engine("sim", p).run(distributed_edge_coloring_spmd, q,
+                                     3).results
         )
         assert multi == full
         verify_edge_coloring(q, multi)
@@ -37,14 +40,15 @@ class TestMultiplexedColoring:
     def test_cycle_with_two_pes(self):
         q = cycle_graph(7)
         colors = merge_colorings(
-            SimCluster(2).run(distributed_edge_coloring_spmd, q, 1).results
+            get_engine("sim", 2).run(distributed_edge_coloring_spmd, q,
+                                     1).results
         )
         verify_edge_coloring(q, colors)
 
     def test_too_many_pes_rejected(self):
         q = cycle_graph(3)
         with pytest.raises(ValueError):
-            SimCluster(4).run(distributed_edge_coloring_spmd, q, 0)
+            get_engine("sim", 4).run(distributed_edge_coloring_spmd, q, 0)
 
 
 class TestMultiplexedRefinement:
@@ -56,8 +60,8 @@ class TestMultiplexedRefinement:
         seq = pairwise_refinement(g, part0, k, seed=5,
                                   coloring="distributed",
                                   max_global_iterations=2)
-        res = SimCluster(p).run(pairwise_refinement_spmd, g, part0,
-                                seed=5, max_global_iterations=2, k=k)
+        res = get_engine("sim", p).run(pairwise_refinement_spmd, g, part0,
+                                       seed=5, max_global_iterations=2, k=k)
         for r in range(p):
             assert np.array_equal(res.results[r], seq)
 
@@ -65,7 +69,7 @@ class TestMultiplexedRefinement:
         g = delaunay100
         part0 = np.zeros(g.n, dtype=np.int64)
         with pytest.raises(ValueError):
-            SimCluster(4).run(pairwise_refinement_spmd, g, part0, k=2)
+            get_engine("sim", 4).run(pairwise_refinement_spmd, g, part0, k=2)
 
 
 class TestClusterPipelineWithFewerPEs:

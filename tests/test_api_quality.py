@@ -22,7 +22,6 @@ MODULES = [
     "repro.graph.dynamic",
     "repro.generators",
     "repro.parallel",
-    "repro.parallel.comm",
     "repro.parallel.costmodel",
     "repro.parallel.coloring",
     "repro.engine",
