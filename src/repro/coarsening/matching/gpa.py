@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...graph.csr import Graph
-from .base import empty_matching, sort_edges_desc
+from .base import sort_edges_desc
 
 __all__ = ["gpa_matching", "max_weight_path_matching"]
 
@@ -87,10 +87,9 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
+    def link(self, ra: int, rb: int) -> int:
+        """Merge the components of the distinct roots ``ra``, ``rb``;
+        returns the new root."""
         if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
@@ -119,104 +118,90 @@ def gpa_matching(
     order = sort_edges_desc(us, vs, scores, rng)
 
     # -- phase 1: grow a collection of paths and even cycles ------------
-    deg = np.zeros(n, dtype=np.int64)
-    adj: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+    # every node has at most two collected edges: the first goes to
+    # slot 1, the second to slot 2
+    deg = [0] * n
+    nb1, w1 = [-1] * n, [0.0] * n
+    nb2, w2 = [-1] * n, [0.0] * n
     uf = _UnionFind(n)
-    edge_count = np.zeros(n, dtype=np.int64)  # per component root
-    closed = np.zeros(n, dtype=bool)          # component already a cycle
+    find, parent = uf.find, uf.parent
+    edge_count = [0] * n   # per component root
+    closed = [False] * n   # component already a cycle
 
-    for i in order:
-        u, v = int(us[i]), int(vs[i])
-        if deg[u] >= 2 or deg[v] >= 2:
+    for u, v, w in zip(us[order].tolist(), vs[order].tolist(),
+                       np.asarray(scores, dtype=np.float64)[order].tolist()):
+        du, dv = deg[u], deg[v]
+        if du >= 2 or dv >= 2:
             continue
-        w = float(scores[i])
-        ru, rv = uf.find(u), uf.find(v)
+        ru = u if parent[u] == u else find(u)
+        rv = v if parent[v] == v else find(v)
         if ru == rv:
             # u, v are the two endpoints of one path; close it into a
             # cycle only when the cycle length would be even
             if closed[ru] or edge_count[ru] % 2 == 0:
                 continue
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-            deg[u] += 1
-            deg[v] += 1
             edge_count[ru] += 1
             closed[ru] = True
         else:
             if closed[ru] or closed[rv]:
                 continue
             total = edge_count[ru] + edge_count[rv] + 1
-            r = uf.union(u, v)
-            edge_count[r] = total
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-            deg[u] += 1
-            deg[v] += 1
+            edge_count[uf.link(ru, rv)] = total
+        if du:
+            nb2[u], w2[u] = v, w
+        else:
+            nb1[u], w1[u] = v, w
+        if dv:
+            nb2[v], w2[v] = u, w
+        else:
+            nb1[v], w1[v] = u, w
+        deg[u] = du + 1
+        deg[v] = dv + 1
 
-    # -- phase 2: optimal matching on each path / cycle by DP -----------
-    matching = empty_matching(n)
-    visited = np.zeros(n, dtype=bool)
-
-    for start in range(n):
-        if visited[start] or deg[start] == 0:
-            continue
-        root = uf.find(start)
-        if closed[root]:
-            continue  # cycles handled below (need a deg-2 walk)
-        if deg[start] == 2:
-            continue  # not an endpoint; reached later from an endpoint
-        # walk the path from this endpoint
-        nodes = [start]
-        weights: List[float] = []
-        visited[start] = True
+    def walk(start: int) -> Tuple[List[int], List[float]]:
+        """Nodes and edge weights along the path or cycle from ``start``
+        (a path endpoint, or any node of a cycle)."""
+        nodes, weights = [start], []
         prev, cur = -1, start
         while True:
-            nxt = None
-            for nbr, w in adj[cur]:
-                if nbr != prev:
-                    nxt = (nbr, w)
-                    break
-            if nxt is None:
-                break
-            nbr, w = nxt
-            if visited[nbr]:
-                break
+            if nb1[cur] != prev:
+                nxt, w = nb1[cur], w1[cur]
+            elif deg[cur] == 2:
+                nxt, w = nb2[cur], w2[cur]
+            else:
+                return nodes, weights   # the path's other endpoint
             weights.append(w)
-            nodes.append(nbr)
-            visited[nbr] = True
-            prev, cur = cur, nbr
-        _, sel = max_weight_path_matching(weights)
-        for ei in sel:
+            if nxt == start:
+                return nodes, weights   # the cycle closed
+            nodes.append(nxt)
+            prev, cur = cur, nxt
+
+    # -- phase 2: optimal matching on each path / cycle by DP -----------
+    matching = list(range(n))  # unmatched nodes are their own partner
+    visited = [False] * n
+
+    # paths, walked from an endpoint (degree 1; a cycle has none)
+    for start in range(n):
+        if deg[start] != 1 or visited[start]:
+            continue
+        nodes, weights = walk(start)
+        for x in nodes:
+            visited[x] = True
+        for ei in max_weight_path_matching(weights)[1]:
             a, b = nodes[ei], nodes[ei + 1]
             matching[a] = b
             matching[b] = a
 
-    # cycles: every node has degree 2 and the component is marked closed
+    # cycles: the degree-2 nodes no path walk reached
     for start in range(n):
-        if visited[start] or deg[start] != 2:
+        if deg[start] != 2 or visited[start]:
             continue
-        nodes = [start]
-        weights = []
-        visited[start] = True
-        prev, cur = -1, start
-        while True:
-            nxt = None
-            for nbr, w in adj[cur]:
-                if nbr != prev:
-                    nxt = (nbr, w)
-                    break
-            assert nxt is not None
-            nbr, w = nxt
-            weights.append(w)
-            if nbr == start:
-                break
-            nodes.append(nbr)
-            visited[nbr] = True
-            prev, cur = cur, nbr
-        _, sel = _cycle_matching(weights)
+        nodes, weights = walk(start)
+        for x in nodes:
+            visited[x] = True
         L = len(nodes)
-        for ei in sel:
+        for ei in _cycle_matching(weights)[1]:
             a, b = nodes[ei], nodes[(ei + 1) % L]
             matching[a] = b
             matching[b] = a
-    return matching
+    return np.array(matching, dtype=np.int64)

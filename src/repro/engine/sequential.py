@@ -22,6 +22,7 @@ there is no concurrency and no data race by construction.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from collections import deque
@@ -242,8 +243,11 @@ class SequentialEngine(Engine):
         if self.p == 1:
             worker(0)
         else:
+            # every PE runs in a copy of the caller's context, so the
+            # caller's kernel backend and tracer reach it
             threads = [
-                threading.Thread(target=worker, args=(r,), daemon=True)
+                threading.Thread(target=contextvars.copy_context().run,
+                                 args=(worker, r), daemon=True)
                 for r in range(self.p)
             ]
             for t in threads:

@@ -44,9 +44,11 @@ these latency hooks as a deterministic scheduling-jitter source.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..graph.csr import Graph
@@ -329,6 +331,9 @@ class ThreadsComm(CommBase):
         fns = list(tasks)
         if len(fns) <= 1 or self.size == 1:
             return [fn() for fn in fns]
+        # a task runs in a copy of this PE's context wherever it runs, so
+        # kernel backend and tracer follow it onto a stealing thread
+        fns = [partial(contextvars.copy_context().run, fn) for fn in fns]
         sh = self.shared
         pool = sh.pool
         batch = _Batch(fns)
@@ -413,9 +418,12 @@ class ThreadsEngine(Engine):
             if self.p == 1:
                 worker(0)
             else:
+                # every PE runs in a copy of the caller's context, so the
+                # caller's kernel backend and tracer reach it
                 threads = [
-                    threading.Thread(target=worker, args=(r,), daemon=True,
-                                     name=f"repro-pe{r}")
+                    threading.Thread(
+                        target=contextvars.copy_context().run,
+                        args=(worker, r), daemon=True, name=f"repro-pe{r}")
                     for r in range(self.p)
                 ]
                 for t in threads:

@@ -208,6 +208,24 @@ class Graph:
         """Source node of every directed arc, aligned with ``adjncy``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
 
+    def row_arcs(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Arc indices of the adjacency rows of ``nodes``, concatenated in
+        the order given, plus each row's length.
+
+        Lets a caller touch only the arcs of a node subset (a frontier,
+        a block pair, a band) instead of masking all ``2m`` arcs.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self.xadj[nodes]
+        counts = self.xadj[nodes + 1] - starts
+        # position of each output slot within its node's run, then shift
+        # every run to its CSR slice
+        run_starts = np.cumsum(counts) - counts
+        idx = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+            starts - run_starts, counts
+        )
+        return idx, counts
+
     def gather_neighbors(self, nodes: np.ndarray) -> np.ndarray:
         """Concatenated adjacency lists of ``nodes``, in one gather.
 
@@ -216,19 +234,7 @@ class Graph:
         the vectorised frontier expansion in BFS kernels.  Duplicates in
         ``nodes`` yield duplicated neighbour runs.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self.xadj[nodes]
-        counts = self.xadj[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # position of each output slot within its node's run, then shift
-        # every run to its CSR slice
-        run_starts = np.cumsum(counts) - counts
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - run_starts, counts
-        )
-        return self.adjncy[idx]
+        return self.adjncy[self.row_arcs(nodes)[0]]
 
     # ------------------------------------------------------------------
     # traversal

@@ -2,7 +2,8 @@
 
 Pairwise refinement (paper Section 5.2) repeatedly works on the subgraph
 induced by two blocks (or their boundary bands), so extraction is written
-with numpy array passes rather than per-edge Python loops.
+with numpy array passes over the selected rows' arcs only, rather than
+per-edge Python loops or passes over the whole graph.
 """
 
 from __future__ import annotations
@@ -40,24 +41,26 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Tuple[Graph, SubgraphMap
     Nodes are renumbered ``0..len(nodes)-1`` in the order given (after
     deduplication, keeping first occurrence order sorted ascending).
     """
-    sel = np.unique(np.asarray(list(nodes), dtype=np.int64))
+    if not isinstance(nodes, np.ndarray):
+        nodes = list(nodes)
+    sel = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(sel) and (sel[0] < 0 or sel[-1] >= g.n):
         raise ValueError("node id out of range")
     to_sub = np.full(g.n, -1, dtype=np.int64)
     to_sub[sel] = np.arange(len(sel), dtype=np.int64)
 
-    # directed arcs whose both endpoints are selected
-    src = g.directed_sources()
-    mask = (to_sub[src] >= 0) & (to_sub[g.adjncy] >= 0)
-    s_src = to_sub[src[mask]]
-    s_dst = to_sub[g.adjncy[mask]]
-    s_w = g.adjwgt[mask]
+    # arcs of the selected rows whose head is selected too: only those
+    # rows are touched, so the cost follows the subgraph, not the graph
+    idx, counts = g.row_arcs(sel)
+    s_src = np.repeat(np.arange(len(sel), dtype=np.int64), counts)
+    s_dst = to_sub[g.adjncy[idx]]
+    keep = s_dst >= 0
+    s_src, s_dst, s_w = s_src[keep], s_dst[keep], g.adjwgt[idx[keep]]
 
     order = np.lexsort((s_dst, s_src))
-    s_src, s_dst, s_w = s_src[order], s_dst[order], s_w[order]
+    s_dst, s_w = s_dst[order], s_w[order]
     xadj = np.zeros(len(sel) + 1, dtype=np.int64)
-    np.add.at(xadj, s_src + 1, 1)
-    np.cumsum(xadj, out=xadj)
+    np.cumsum(np.bincount(s_src, minlength=len(sel)), out=xadj[1:])
     coords = None if g.coords is None else g.coords[sel]
     vwgts = None if g.n_constraints == 1 else g.vwgts[sel]
     fixed = None if g.fixed is None else g.fixed[sel]

@@ -16,11 +16,12 @@ Backends: ``python`` (reference per-node loops), ``numpy`` (vectorised,
 the default) and ``numba`` (the reference loops JIT-compiled with
 ``nogil=True`` when numba is installed; a warn-once numpy delegation
 when it is not) — bit-identical by construction and by the differential
-test suite.  Select globally via :func:`set_backend` /
-:func:`use_backend`, per run via ``KappaConfig.kernel_backend``, or on
-the command line via ``--kernel-backend``.  Install a tracer with
-:func:`use_tracer` to surface per-kernel call counts and wall time in
-``--trace`` output.
+test suite.  Select the process default via :func:`set_backend`, a
+block of code via :func:`use_backend` (context-local, so concurrent runs
+on different threads stay apart), per run via
+``KappaConfig.kernel_backend``, or on the command line via
+``--kernel-backend``.  Install a tracer with :func:`use_tracer` to
+surface per-kernel call counts and wall time in ``--trace`` output.
 """
 
 from .registry import (

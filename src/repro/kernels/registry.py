@@ -19,6 +19,14 @@ backend (see :func:`set_backend` / :func:`use_backend`) and, when a live
 records a per-kernel call counter and cumulative wall time — so backend
 speedups show up directly in ``--trace`` output.
 
+:func:`set_backend` / :func:`set_tracer` change the process-wide
+default; :func:`use_backend` / :func:`use_tracer` override it in the
+current :mod:`contextvars` context only, so concurrent runs on different
+threads (``repro serve`` jobs) neither see each other's backend nor
+count into each other's tracer.  A thread starts from the defaults;
+code that fans work out to threads (the threads engine) runs it in a
+copy of the caller's context.
+
 Adding a kernel: implement it in both backend modules and decorate each
 with ``@register("<name>", "<backend>")``.  The differential test suite
 (``tests/test_kernel_equivalence.py``) asserts every registered kernel
@@ -29,7 +37,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Tuple
+from contextvars import ContextVar
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..instrument import NULL_TRACER
 
@@ -54,8 +63,13 @@ BACKENDS: Tuple[str, ...] = ("python", "numpy", "numba")
 DEFAULT_BACKEND: str = "numpy"
 
 _registry: Dict[str, Dict[str, Callable]] = {}
-_active_backend: str = DEFAULT_BACKEND
-_active_tracer = NULL_TRACER
+#: process-wide defaults (``set_*``) and context-local overrides (``use_*``)
+_default_backend: str = DEFAULT_BACKEND
+_default_tracer = NULL_TRACER
+_backend_override: ContextVar[Optional[str]] = ContextVar(
+    "repro_kernel_backend", default=None)
+_tracer_override: ContextVar[Optional[object]] = ContextVar(
+    "repro_kernel_tracer", default=None)
 
 
 def _check_backend(backend: str) -> str:
@@ -95,7 +109,7 @@ def get_kernel(name: str, backend: str = None) -> Callable:
         raise ValueError(
             f"unknown kernel {name!r}; registered: {kernel_names()}"
         ) from None
-    backend = _active_backend if backend is None else _check_backend(backend)
+    backend = get_backend() if backend is None else _check_backend(backend)
     try:
         return impls[backend]
     except KeyError:
@@ -106,46 +120,55 @@ def get_kernel(name: str, backend: str = None) -> Callable:
 
 
 def get_backend() -> str:
-    """The currently active backend name."""
-    return _active_backend
+    """The backend active in the current context."""
+    override = _backend_override.get()
+    return _default_backend if override is None else override
 
 
 def set_backend(backend: str) -> str:
-    """Switch the active backend; returns the previous one."""
-    global _active_backend
-    previous = _active_backend
-    _active_backend = _check_backend(backend)
+    """Switch the process-wide default backend; returns the previous
+    default.  A :func:`use_backend` block still takes precedence."""
+    global _default_backend
+    previous = _default_backend
+    _default_backend = _check_backend(backend)
     return previous
 
 
 @contextmanager
 def use_backend(backend: str) -> Iterator[None]:
-    """Temporarily switch the active backend (restored on exit)."""
-    previous = set_backend(backend)
+    """Run the block on ``backend`` (this context only; restored on
+    exit)."""
+    token = _backend_override.set(_check_backend(backend))
     try:
         yield
     finally:
-        set_backend(previous)
+        _backend_override.reset(token)
+
+
+def _get_tracer():
+    override = _tracer_override.get()
+    return _default_tracer if override is None else override
 
 
 def set_tracer(tracer) -> object:
-    """Install the tracer that :func:`dispatch` reports timings to;
-    returns the previous one.  Pass :data:`~repro.instrument.NULL_TRACER`
-    (or ``None``) to disable."""
-    global _active_tracer
-    previous = _active_tracer
-    _active_tracer = NULL_TRACER if tracer is None else tracer
+    """Install the process-wide default tracer that :func:`dispatch`
+    reports timings to; returns the previous default.  Pass
+    :data:`~repro.instrument.NULL_TRACER` (or ``None``) to disable."""
+    global _default_tracer
+    previous = _default_tracer
+    _default_tracer = NULL_TRACER if tracer is None else tracer
     return previous
 
 
 @contextmanager
 def use_tracer(tracer) -> Iterator[None]:
-    """Temporarily install a kernel-timing tracer (restored on exit)."""
-    previous = set_tracer(tracer)
+    """Report kernel timings to ``tracer`` inside the block (this context
+    only; restored on exit)."""
+    token = _tracer_override.set(NULL_TRACER if tracer is None else tracer)
     try:
         yield
     finally:
-        set_tracer(previous)
+        _tracer_override.reset(token)
 
 
 def dispatch(name: str, *args, **kwargs):
@@ -157,7 +180,7 @@ def dispatch(name: str, *args, **kwargs):
     overhead is two dict lookups.
     """
     fn = get_kernel(name)
-    tracer = _active_tracer
+    tracer = _get_tracer()
     if not tracer.enabled:
         return fn(*args, **kwargs)
     t0 = time.perf_counter()

@@ -9,7 +9,7 @@ from .gain import (
     two_way_boundary,
     cut_between_sides,
 )
-from .fm import FMResult, fm_bipartition_refine, QUEUE_STRATEGIES
+from .fm import FMResult, FMSearch, fm_bipartition_refine, QUEUE_STRATEGIES
 from .band import Band, extract_band
 from .pairwise import (
     PairResult,
@@ -27,6 +27,7 @@ __all__ = [
     "two_way_boundary",
     "cut_between_sides",
     "FMResult",
+    "FMSearch",
     "fm_bipartition_refine",
     "QUEUE_STRATEGIES",
     "Band",

@@ -63,35 +63,32 @@ def extract_band(
     pair_nodes = np.nonzero(in_pair)[0]
     region = in_pair if within is None else (in_pair & within)
 
-    # pair boundary: nodes of a adjacent to b and vice versa
-    src = g.directed_sources()
-    mask_ab = (part[src] == a) & (part[g.adjncy] == b)
-    mask_ba = (part[src] == b) & (part[g.adjncy] == a)
-    seeds = np.unique(src[mask_ab | mask_ba])
+    # pair boundary: nodes of a adjacent to b and vice versa, found from
+    # the pair's own arcs only
+    idx, counts = g.row_arcs(pair_nodes)
+    other = np.repeat(np.where(part[pair_nodes] == a, b, a), counts)
+    crossing = part[g.adjncy[idx]] == other
+    seeds = np.unique(np.repeat(pair_nodes, counts)[crossing])
     if within is not None and len(seeds):
         seeds = seeds[within[seeds]]
     if len(seeds) == 0:
-        empty = Band(
-            graph=induced_subgraph(g, [])[0],
-            smap=induced_subgraph(g, [])[1],
-            side=np.zeros(0, dtype=np.int8),
-            movable=np.zeros(0, dtype=bool),
-            n_boundary=0,
-        )
+        sub, smap = induced_subgraph(g, [])
+        empty = Band(graph=sub, smap=smap, side=np.zeros(0, dtype=np.int8),
+                     movable=np.zeros(0, dtype=bool), n_boundary=0)
         return empty, pair_nodes
 
     # bounded BFS inside the two blocks (the ``band_bfs`` kernel),
     # additionally clipped to ``within`` when given
     level = dispatch("band_bfs", g, seeds, region, depth)
-    band_nodes = np.nonzero(level >= 0)[0]
+    band_mask = level >= 0
 
-    # halo: neighbours of band nodes that are in the pair but not the band
-    halo_mask = np.zeros(g.n, dtype=bool)
-    band_mask = np.zeros(g.n, dtype=bool)
-    band_mask[band_nodes] = True
-    touching = (band_mask[src]) & in_pair[g.adjncy] & (~band_mask[g.adjncy])
-    halo_mask[g.adjncy[touching]] = True
-    selected = np.nonzero(band_mask | halo_mask)[0]
+    # halo: neighbours of band nodes that are in the pair but not the
+    # band, found from the band's own arcs only
+    nbrs = g.gather_neighbors(np.nonzero(band_mask)[0])
+    halo = nbrs[in_pair[nbrs] & ~band_mask[nbrs]]
+    selected_mask = band_mask.copy()
+    selected_mask[halo] = True
+    selected = np.nonzero(selected_mask)[0]
 
     sub, smap = induced_subgraph(g, selected)
     side = (part[selected] == b).astype(np.int8)

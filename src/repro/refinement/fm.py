@@ -19,20 +19,32 @@ without yielding an improvement.  When the search stops, search is rolled
 back to the state with the lexicographically best value of the tuple
 (imbalance, cutValue), where imbalance is
 max(0, max(c(A) − L_max, c(B) − L_max))."
+
+The two queues are binary heaps (the paper's choice, Section 6) built on
+:mod:`heapq` with lazy invalidation: a gain update pushes a fresh entry
+keyed ``(−gain, −tiebreak, node)`` and stale entries are dropped when
+they surface at the top.  A node's tiebreak is a uniform draw taken when
+it enters its queue, which realises the random initial order.  The search
+runs on plain Python lists converted once per search graph
+(:class:`FMSearch`), so the two seeded runs of a pairwise step share the
+conversion and the initial gains.  The addressable heap of
+:mod:`repro.refinement.pq` remains the queue of rebalancing and initial
+partitioning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import Graph
 from .gain import gain_and_boundary
-from .pq import AddressablePQ
 
-__all__ = ["FMResult", "fm_bipartition_refine", "QUEUE_STRATEGIES"]
+__all__ = ["FMResult", "FMSearch", "fm_bipartition_refine",
+           "QUEUE_STRATEGIES"]
 
 QUEUE_STRATEGIES = ("alternating", "max_load", "top_gain", "top_gain_max_load")
 
@@ -53,55 +65,247 @@ class FMResult:
         return self.gain > 1e-12
 
 
-def _select_queue(
-    strategy: str,
-    pq: Tuple[AddressablePQ, AddressablePQ],
-    weights: Tuple[float, float],
-    lmax: float,
-    last: int,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Pick the side (0 or 1) whose queue gives the next node.
+def _floats(x: Optional[np.ndarray], default: np.ndarray) -> List[float]:
+    return (default if x is None
+            else np.asarray(x, dtype=np.float64)).tolist()
 
-    Returns ``None`` when both queues are empty.  A non-empty fallback is
-    always used when the preferred queue is empty.
+
+class FMSearch:
+    """A search graph and start assignment prepared for FM passes.
+
+    Holds everything a pass reads but never writes — the CSR arrays,
+    node weights, movability and the initial gains/boundary — as Python
+    lists, so repeated passes (different seeds, limits or strategies)
+    pay for the numpy→list conversion once.  See
+    :func:`fm_bipartition_refine` for the parameters.
     """
-    e0, e1 = bool(pq[0]), bool(pq[1])
-    if not e0 and not e1:
-        return None
-    if not e0:
-        return 1
-    if not e1:
-        return 0
 
-    heavier = 0 if weights[0] > weights[1] else 1 if weights[1] > weights[0] \
-        else int(rng.integers(0, 2))
-    overloaded = weights[0] > lmax or weights[1] > lmax
+    def __init__(
+        self,
+        g: Graph,
+        side: np.ndarray,
+        movable: Optional[np.ndarray] = None,
+        edge_scale: Optional[float] = None,
+        gain_bias: Optional[np.ndarray] = None,
+        aux_weights: Optional[np.ndarray] = None,
+    ) -> None:
+        side = np.asarray(side, dtype=np.int8)
+        if side.shape != (g.n,) or (
+                g.n and (side.min() < 0 or side.max() > 1)):
+            raise ValueError("side must be a 0/1 vector of length n")
+        self.n = g.n
+        self.side = side.tolist()
+        self.movable = ([True] * g.n if movable is None
+                        else np.asarray(movable, dtype=bool).tolist())
+        on_b = side == 1
+        self.weights = (float(g.vwgt[~on_b].sum()), float(g.vwgt[on_b].sum()))
+        self.counts = (g.n - int(on_b.sum()), int(on_b.sum()))
+        self.xadj = g.xadj.tolist()
+        self.adjncy = g.adjncy.tolist()
+        scale = 1.0 if edge_scale is None else float(edge_scale)
+        # gain change of a neighbour when its edge flips internal/external
+        self.delta = (2.0 * g.adjwgt * scale).tolist()
+        self.vwgt = g.vwgt.tolist()
+        gains, boundary = gain_and_boundary(g, side, scale=edge_scale,
+                                            bias=gain_bias)
+        self.gains = gains.tolist()
+        self.init = [v for v in boundary.tolist() if self.movable[v]]
+        self.aux = None
+        if aux_weights is not None:
+            aux = np.asarray(aux_weights, dtype=np.float64).reshape(g.n, -1)
+            self.aux = aux.tolist()
+            self.aux_weights = (aux[~on_b].sum(axis=0), aux[on_b].sum(axis=0))
 
-    if strategy == "alternating":
-        return 1 - last if last in (0, 1) else int(rng.integers(0, 2))
-    if strategy == "max_load":
-        return heavier
-    g0, g1 = pq[0].peek()[1], pq[1].peek()[1]
-    if strategy == "top_gain":
-        # "TopGain adopts the exception that MaxLoad is used when one of
-        # the blocks is overloaded"
-        if overloaded:
-            return heavier
-        if g0 > g1:
-            return 0
-        if g1 > g0:
-            return 1
-        return int(rng.integers(0, 2))
-    if strategy == "top_gain_max_load":
-        if g0 > g1:
-            return 0
-        if g1 > g0:
-            return 1
-        return heavier
-    raise ValueError(
-        f"unknown queue selection {strategy!r}; choose from {QUEUE_STRATEGIES}"
-    )
+    def run(
+        self,
+        rng: Optional[np.random.Generator] = None,
+        weight_a: Optional[float] = None,
+        weight_b: Optional[float] = None,
+        lmax: Optional[float] = None,
+        alpha: float = 0.05,
+        queue_selection: str = "top_gain",
+        block_sizes: Optional[Tuple[int, int]] = None,
+        lmax_b: Optional[float] = None,
+        aux_weight_a: Optional[np.ndarray] = None,
+        aux_weight_b: Optional[np.ndarray] = None,
+        aux_lmax_a: Optional[np.ndarray] = None,
+        aux_lmax_b: Optional[np.ndarray] = None,
+    ) -> FMResult:
+        """One FM pass from the prepared start assignment."""
+        if queue_selection not in QUEUE_STRATEGIES:
+            raise ValueError(
+                f"unknown queue selection {queue_selection!r}; "
+                f"choose from {QUEUE_STRATEGIES}"
+            )
+        rng = np.random.default_rng(0) if rng is None else rng
+        xadj, adjncy, delta, vwgt = self.xadj, self.adjncy, self.delta, \
+            self.vwgt
+        side = self.side[:]
+        gain = self.gains[:]
+        free = self.movable[:]      # movable and not yet locked
+        inq = [False] * self.n      # node has a live queue entry
+        tiebreak = [0.0] * self.n
+
+        w = [self.weights[0] if weight_a is None else float(weight_a),
+             self.weights[1] if weight_b is None else float(weight_b)]
+        limit_a = float("inf") if lmax is None else float(lmax)
+        limit_b = limit_a if lmax_b is None else float(lmax_b)
+        limits = (limit_a, limit_b)
+        limit = max(limit_a, limit_b)  # queue strategies use the joint limit
+        sizes = self.counts if block_sizes is None else block_sizes
+        patience = max(1, int(alpha * max(1, min(sizes))))
+
+        aux = self.aux
+        if aux is not None:
+            ndim = len(aux[0]) if aux else 0
+            inf = np.full(ndim, np.inf)
+            aw = [_floats(aux_weight_a, self.aux_weights[0]),
+                  _floats(aux_weight_b, self.aux_weights[1])]
+            alim = (_floats(aux_lmax_a, inf), _floats(aux_lmax_b, inf))
+
+        def imbalance() -> float:
+            imb = max(0.0, w[0] - limits[0], w[1] - limits[1])
+            if aux is not None:
+                imb = max(imb,
+                          max([0.0] + [x - y for x, y in zip(aw[0], alim[0])]),
+                          max([0.0] + [x - y for x, y in zip(aw[1], alim[1])]))
+            return imb
+
+        # random tiebreaks realise the "initialized in random order"
+        heaps: Tuple[list, list] = ([], [])
+        for v, r in zip(self.init, rng.random(len(self.init)).tolist()):
+            tiebreak[v] = r
+            inq[v] = True
+            heaps[side[v]].append((-gain[v], -r, v))
+        heapify(heaps[0])
+        heapify(heaps[1])
+        h0, h1 = heaps
+
+        # lexicographic best over (imbalance, cut): cut tracked as -total_gain
+        total_gain = 0.0
+        best_key = (imbalance(), 0.0)
+        best_prefix = 0
+        log: List[int] = []  # moved nodes in order
+        fruitless = 0
+        last_side = -1
+
+        while fruitless <= patience:
+            # drop stale entries: popped nodes and superseded gains
+            while h0 and (not inq[h0[0][2]] or -h0[0][0] != gain[h0[0][2]]):
+                heappop(h0)
+            while h1 and (not inq[h1[0][2]] or -h1[0][0] != gain[h1[0][2]]):
+                heappop(h1)
+            # queue selection; a non-empty queue wins over an empty one
+            if not h0:
+                if not h1:
+                    break
+                s = 1
+            elif not h1:
+                s = 0
+            else:
+                w0, w1 = w
+                heavier = 0 if w0 > w1 else 1 if w1 > w0 \
+                    else int(rng.integers(0, 2))
+                if queue_selection == "alternating":
+                    s = 1 - last_side if last_side >= 0 \
+                        else int(rng.integers(0, 2))
+                elif queue_selection == "max_load":
+                    s = heavier
+                elif queue_selection == "top_gain" and (w0 > limit
+                                                       or w1 > limit):
+                    # "TopGain adopts the exception that MaxLoad is used
+                    # when one of the blocks is overloaded"
+                    s = heavier
+                else:
+                    g0, g1 = -h0[0][0], -h1[0][0]
+                    if g0 > g1:
+                        s = 0
+                    elif g1 > g0:
+                        s = 1
+                    elif queue_selection == "top_gain":
+                        s = int(rng.integers(0, 2))
+                    else:  # top_gain_max_load
+                        s = heavier
+            v = heappop(heaps[s])[2]
+            inq[v] = False
+            free[v] = False  # popped nodes are locked (standard FM)
+            t = 1 - s
+            cv = vwgt[v]
+            # admissibility: never overload the target unless the move still
+            # strictly improves the balance of an already-overloaded pair
+            if w[t] + cv > limits[t] and not (
+                w[t] + cv - limits[t] < w[s] - limits[s]
+            ):
+                continue
+            if aux is not None:
+                # every extra constraint dimension either stays under the
+                # target's limit or strictly improves an existing overload
+                av = aux[v]
+                if not all(
+                    over <= 1e-9 or over < fs - ls
+                    for over, fs, ls in zip(
+                        [x + y - z for x, y, z in zip(aw[t], av, alim[t])],
+                        aw[s], alim[s])
+                ):
+                    continue
+
+            # apply the move
+            side[v] = t
+            w[s] -= cv
+            w[t] += cv
+            if aux is not None:
+                aw[s] = [x - y for x, y in zip(aw[s], av)]
+                aw[t] = [x + y for x, y in zip(aw[t], av)]
+            total_gain += gain[v]
+            log.append(v)
+            last_side = s
+
+            # update neighbour gains
+            for i in range(xadj[v], xadj[v + 1]):
+                u = adjncy[i]
+                if not free[u]:
+                    continue
+                su = side[u]
+                if su == s:
+                    gain[u] += delta[i]   # edge became external for u
+                else:
+                    gain[u] -= delta[i]   # edge became internal for u
+                if inq[u]:
+                    heappush(heaps[su], (-gain[u], -tiebreak[u], u))
+                elif su == s:
+                    # u just became a boundary node
+                    r = rng.random()
+                    tiebreak[u] = r
+                    inq[u] = True
+                    heappush(heaps[su], (-gain[u], -r, u))
+
+            key = (imbalance(), -total_gain)
+            if key < best_key:
+                best_key = key
+                best_prefix = len(log)
+                fruitless = 0
+            else:
+                fruitless += 1
+
+        # rollback to the lexicographically best prefix
+        for v in log[best_prefix:]:
+            s = side[v]
+            side[v] = 1 - s
+            cv = vwgt[v]
+            w[s] -= cv
+            w[1 - s] += cv
+            if aux is not None:
+                aw[s] = [x - y for x, y in zip(aw[s], aux[v])]
+                aw[1 - s] = [x + y for x, y in zip(aw[1 - s], aux[v])]
+
+        return FMResult(
+            side=np.array(side, dtype=np.int8),
+            gain=-best_key[1],
+            moves_applied=best_prefix,
+            moves_tried=len(log),
+            weight_a=w[0],
+            weight_b=w[1],
+        )
 
 
 def fm_bipartition_refine(
@@ -169,154 +373,12 @@ def fm_bipartition_refine(
     aux_lmax_a, aux_lmax_b:
         Per-dimension limits for the extra constraints.
     """
-    if queue_selection not in QUEUE_STRATEGIES:
-        raise ValueError(
-            f"unknown queue selection {queue_selection!r}; "
-            f"choose from {QUEUE_STRATEGIES}"
-        )
-    side = np.asarray(side, dtype=np.int8).copy()
-    if side.shape != (g.n,) or (g.n and not np.isin(side, (0, 1)).all()):
-        raise ValueError("side must be a 0/1 vector of length n")
-    if movable is None:
-        movable = np.ones(g.n, dtype=bool)
-    rng = np.random.default_rng(0) if rng is None else rng
-
-    w = [
-        float(g.vwgt[side == 0].sum()) if weight_a is None else float(weight_a),
-        float(g.vwgt[side == 1].sum()) if weight_b is None else float(weight_b),
-    ]
-    limit_a = float("inf") if lmax is None else float(lmax)
-    limit_b = limit_a if lmax_b is None else float(lmax_b)
-    limits = (limit_a, limit_b)
-    limit = max(limit_a, limit_b)  # queue strategies use the joint limit
-    if block_sizes is None:
-        block_sizes = (int((side == 0).sum()), int((side == 1).sum()))
-    patience = max(1, int(alpha * max(1, min(block_sizes))))
-
-    scale = 1.0 if edge_scale is None else float(edge_scale)
-    have_aux = aux_weights is not None
-    if have_aux:
-        aux = np.asarray(aux_weights, dtype=np.float64).reshape(g.n, -1)
-        aw = [
-            (aux[side == 0].sum(axis=0) if aux_weight_a is None
-             else np.asarray(aux_weight_a, dtype=np.float64).copy()),
-            (aux[side == 1].sum(axis=0) if aux_weight_b is None
-             else np.asarray(aux_weight_b, dtype=np.float64).copy()),
-        ]
-        ndim = aux.shape[1]
-        alim = (
-            np.full(ndim, np.inf) if aux_lmax_a is None
-            else np.asarray(aux_lmax_a, dtype=np.float64),
-            np.full(ndim, np.inf) if aux_lmax_b is None
-            else np.asarray(aux_lmax_b, dtype=np.float64),
-        )
-
-    gains, boundary = gain_and_boundary(g, side, scale=edge_scale,
-                                        bias=gain_bias)
-    pq = (AddressablePQ(), AddressablePQ())
-    for v in boundary:
-        v = int(v)
-        if movable[v]:
-            # random tiebreak realises the "initialized in random order"
-            pq[side[v]].push(v, float(gains[v]), float(rng.random()))
-
-    locked = np.zeros(g.n, dtype=bool)
-
-    def imbalance() -> float:
-        imb = max(0.0, w[0] - limits[0], w[1] - limits[1])
-        if have_aux:
-            imb = max(imb,
-                      float(np.max(aw[0] - alim[0], initial=0.0)),
-                      float(np.max(aw[1] - alim[1], initial=0.0)))
-        return imb
-
-    def aux_admissible(v: int, s: int, t: int) -> bool:
-        """Every extra constraint dimension either stays under the
-        target's limit or strictly improves an existing overload."""
-        if not have_aux:
-            return True
-        after = aw[t] + aux[v]
-        over = after - alim[t]
-        return bool(np.all((over <= 1e-9) | (over < aw[s] - alim[s])))
-
-    # lexicographic best over (imbalance, cut): cut tracked as -total_gain
-    total_gain = 0.0
-    best_key = (imbalance(), 0.0)
-    best_prefix = 0
-    log: List[int] = []  # moved nodes in order
-    fruitless = 0
-    last_side = -1
-
-    while fruitless <= patience:
-        s = _select_queue("alternating" if queue_selection == "alternating"
-                          else queue_selection, pq, (w[0], w[1]), limit,
-                          last_side, rng)
-        if s is None:
-            break
-        v, gain_v = pq[s].pop()
-        t = 1 - s
-        cv = float(g.vwgt[v])
-        # admissibility: never overload the target unless the move still
-        # strictly improves the balance of an already-overloaded pair
-        if (w[t] + cv > limits[t] and not (
-            w[t] + cv - limits[t] < w[s] - limits[s]
-        )) or not aux_admissible(v, s, t):
-            locked[v] = True  # popped nodes are locked (standard FM)
-            continue
-
-        # apply the move
-        side[v] = t
-        w[s] -= cv
-        w[t] += cv
-        if have_aux:
-            aw[s] = aw[s] - aux[v]
-            aw[t] = aw[t] + aux[v]
-        locked[v] = True
-        total_gain += gain_v
-        log.append(v)
-        last_side = s
-
-        # update neighbour gains
-        lo, hi = g.xadj[v], g.xadj[v + 1]
-        for u, wuv in zip(g.adjncy[lo:hi], g.adjwgt[lo:hi]):
-            u = int(u)
-            if locked[u] or not movable[u]:
-                continue
-            if side[u] == s:
-                gains[u] += 2.0 * wuv * scale   # edge became external for u
-            else:
-                gains[u] -= 2.0 * wuv * scale   # edge became internal for u
-            q = pq[side[u]]
-            if u in q:
-                q.update(u, float(gains[u]))
-            elif side[u] == s:
-                # u just became a boundary node
-                q.push(u, float(gains[u]), float(rng.random()))
-
-        key = (imbalance(), -total_gain)
-        if key < best_key:
-            best_key = key
-            best_prefix = len(log)
-            fruitless = 0
-        else:
-            fruitless += 1
-
-    # rollback to the lexicographically best prefix
-    for v in log[best_prefix:]:
-        s = int(side[v])
-        side[v] = 1 - s
-        cv = float(g.vwgt[v])
-        w[s] -= cv
-        w[1 - s] += cv
-        if have_aux:
-            aw[s] = aw[s] - aux[v]
-            aw[1 - s] = aw[1 - s] + aux[v]
-
-    return FMResult(
-        side=side,
-        gain=-best_key[1],
-        moves_applied=best_prefix,
-        moves_tried=len(log),
-        weight_a=w[0],
-        weight_b=w[1],
+    return FMSearch(
+        g, side, movable=movable, edge_scale=edge_scale,
+        gain_bias=gain_bias, aux_weights=aux_weights,
+    ).run(
+        rng, weight_a=weight_a, weight_b=weight_b, lmax=lmax, alpha=alpha,
+        queue_selection=queue_selection, block_sizes=block_sizes,
+        lmax_b=lmax_b, aux_weight_a=aux_weight_a, aux_weight_b=aux_weight_b,
+        aux_lmax_a=aux_lmax_a, aux_lmax_b=aux_lmax_b,
     )

@@ -40,7 +40,7 @@ from ..core import metrics
 from ..instrument.tracer import NULL_TRACER
 from ..parallel.coloring import distributed_edge_coloring_spmd
 from .band import Band, extract_band
-from .fm import fm_bipartition_refine
+from .fm import FMSearch
 
 __all__ = ["PairResult", "refine_pair", "pairwise_refinement",
            "pairwise_refinement_spmd"]
@@ -210,21 +210,19 @@ def refine_pair(
     candidates = []
     moves_tried = 0
     if algorithm in ("fm", "fm_flow"):
+        # both seeded runs share one list-native view of the band
+        search = FMSearch(band.graph, band.side, movable=band.movable,
+                          edge_scale=scale, gain_bias=bias,
+                          aux_weights=aux if have_aux else None)
         for seed in (seed_a, seed_b):
-            res = fm_bipartition_refine(
-                band.graph,
-                band.side,
-                movable=band.movable,
+            res = search.run(
+                np.random.default_rng(seed),
                 weight_a=wa,
                 weight_b=wb,
                 lmax=lmax,
                 alpha=alpha,
                 queue_selection=queue_selection,
-                rng=np.random.default_rng(seed),
                 block_sizes=block_sizes,
-                edge_scale=scale,
-                gain_bias=bias,
-                aux_weights=aux if have_aux else None,
                 aux_weight_a=awa if have_aux else None,
                 aux_weight_b=awb if have_aux else None,
                 aux_lmax_a=alim if have_aux else None,

@@ -6,6 +6,12 @@ addressable binary max-heap: ``push``/``pop``/``update``/``remove`` in
 O(log n), keyed by node id, with deterministic tie-breaking by an explicit
 secondary key (FM initialises queues "in random order", which we realise
 by passing random secondary keys).
+
+FM local search does not use this class: its two queues are lazy
+:mod:`heapq` binary heaps over plain lists (see
+:mod:`repro.refinement.fm`), which need no position map.  It remains the
+queue of rebalancing (:mod:`repro.refinement.balance`) and of the
+initial partitioners' region growing, which remove and re-key items.
 """
 
 from __future__ import annotations

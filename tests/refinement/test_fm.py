@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core import metrics
 from repro.refinement import (
     QUEUE_STRATEGIES,
+    FMSearch,
     cut_between_sides,
     fm_bipartition_refine,
     initial_gains,
@@ -161,3 +162,23 @@ class TestFMProperties:
         assert (imb1, cut1) <= (imb0, cut0 + 1e-9)
         assert np.isclose(res.weight_a + res.weight_b, g.total_node_weight())
         assert np.isclose(cut0 - cut1, res.gain)
+
+
+class TestFMSearchReuse:
+    def test_passes_share_the_prepared_view_without_mutating_it(
+            self, delaunay300):
+        # refine_pair runs two seeded passes on one FMSearch; each pass
+        # must equal a fresh search, whatever ran on the view before it
+        g = delaunay300
+        side = (g.coords[:, 0] > 0.45).astype(np.int8)
+        kw = dict(lmax=metrics.lmax(g, 2, 0.03), alpha=0.3)
+        search = FMSearch(g, side)
+        passes = [search.run(np.random.default_rng(s), **kw)
+                  for s in (1, 2, 1)]
+        for s, res in zip((1, 2, 1), passes):
+            fresh = fm_bipartition_refine(g, side,
+                                          rng=np.random.default_rng(s), **kw)
+            assert res.side.tolist() == fresh.side.tolist()
+            assert (res.gain, res.moves_tried) == (fresh.gain,
+                                                   fresh.moves_tried)
+        assert passes[0].moves_tried > 0

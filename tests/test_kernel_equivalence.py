@@ -12,6 +12,7 @@ vector and edge cut).  The JIT-specific assertions skip cleanly when
 numba is unavailable; the fallback path is covered either way.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.coarsening.matching import dispatch as run_matching
 from repro.core import FAST, KappaPartitioner
+from repro.engine import get_engine
 from repro.instrument import Tracer
 from repro.kernels import numba_backend
 from repro.kernels.numba_backend import NUMBA_AVAILABLE
@@ -108,6 +110,73 @@ class TestRegistry:
         counters = tr.counters()
         assert counters["kernel_edge_ratings_calls"] == 1
         assert counters["kernel_edge_ratings_s"] >= 0.0
+
+    def test_overrides_are_local_to_each_thread(self, rgg128):
+        # two concurrent runs, interleaved by barriers: each tracer counts
+        # only its own thread's calls, each thread sees its own backend,
+        # and the out-of-order exits leave the process default in place
+        us, vs, ws = rgg128.edge_array()
+        step = threading.Barrier(2, timeout=30)
+        tracers = [Tracer(), Tracer()]
+        seen = [None, None]
+        errors = []
+
+        def job(i):
+            try:
+                with kernels.use_tracer(tracers[i]), \
+                        kernels.use_backend("python"):
+                    step.wait()   # both overrides installed
+                    with tracers[i].phase("job"):
+                        for _ in range(i + 1):
+                            kernels.dispatch("edge_ratings", rgg128, us, vs,
+                                             ws, "weight")
+                    seen[i] = kernels.get_backend()
+                    step.wait()   # both done dispatching
+                    if i == 1:
+                        step.wait()   # thread 0 exits its blocks first
+                if i == 0:
+                    step.wait()
+            except BaseException as exc:  # pragma: no cover - reported
+                errors.append(exc)
+
+        threads = [threading.Thread(target=job, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        assert [tr.counters()["kernel_edge_ratings_calls"]
+                for tr in tracers] == [1, 2]
+        assert seen == ["python", "python"]
+        assert kernels.get_backend() == kernels.DEFAULT_BACKEND
+
+    def test_set_backend_is_the_process_default(self):
+        previous = kernels.set_backend("python")
+        try:
+            seen = []
+            t = threading.Thread(
+                target=lambda: seen.append(kernels.get_backend()))
+            t.start()
+            t.join(timeout=60)
+            assert seen == ["python"]
+            with kernels.use_backend("numpy"):
+                assert kernels.get_backend() == "numpy"
+            assert kernels.get_backend() == "python"
+        finally:
+            kernels.set_backend(previous)
+        assert kernels.get_backend() == "numpy"
+
+    @pytest.mark.parametrize("engine", ["sequential", "threads"])
+    def test_engine_pes_inherit_the_callers_context(self, engine):
+        def program(comm):
+            own = kernels.get_backend()
+            batch = comm.map_batch([kernels.get_backend] * 4)
+            return own, batch
+
+        with kernels.use_backend("python"):
+            res = get_engine(engine, 2).run(program)
+        assert res.results == [("python", ["python"] * 4)] * 2
 
 
 # ----------------------------------------------------------------------
