@@ -75,23 +75,30 @@ def write_metis(g: Graph, f: PathLike) -> None:
 
 
 def read_metis(f: PathLike) -> Graph:
-    """Read a METIS .graph file (supports fmt codes 0/1/10/11)."""
+    """Read a METIS .graph file (supports fmt codes 0/1/10/11).
+
+    Every arc must name a neighbour in ``1..n`` and appear on both of
+    its endpoints' lines with the same weight, and every weight must be
+    finite; a file that breaks this raises a :class:`ValueError` naming
+    the offending 1-based line of the file.
+    """
     handle, close = _open(f, "r")
     try:
         # blank lines are meaningful after the header (isolated nodes), so
         # only comment lines are dropped; leading blanks before the header
-        # are tolerated.
-        lines = [ln.rstrip("\n") for ln in handle if not ln.startswith("%")]
+        # are tolerated.  Each kept line carries its 1-based file line.
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(handle, 1)
+                 if not ln.startswith("%")]
     finally:
         if close:
             handle.close()
-    while lines and not lines[0].strip():
+    while lines and not lines[0][1].strip():
         lines.pop(0)
-    while lines and not lines[-1].strip():
+    while lines and not lines[-1][1].strip():
         lines.pop()
     if not lines:
         raise ValueError("empty METIS file")
-    header = lines[0].split()
+    header = lines[0][1].split()
     n, m = int(header[0]), int(header[1])
     fmt = header[2] if len(header) > 2 else "0"
     fmt = fmt.zfill(2)
@@ -102,27 +109,65 @@ def read_metis(f: PathLike) -> Graph:
     if len(lines) - 1 < n:
         # trailing isolated nodes produce trailing blank lines which some
         # writers (and the stripping above) drop — pad them back
-        lines += [""] * (n - (len(lines) - 1))
+        last = lines[-1][0]
+        lines += [(last + i, "") for i in range(1, n - len(lines) + 2)]
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} node lines, found {len(lines) - 1}")
+
+    def weight(text: str, no: int, what: str) -> float:
+        w = float(text)
+        if not np.isfinite(w):
+            raise ValueError(f"line {no}: non-finite {what} weight {text!r}")
+        return w
+
     edges, weights = [], []
+    # arcs v -> u with v < u still waiting for their reverse u -> v:
+    # (v, u) -> [(weight, line), ...]
+    pending: dict = {}
     vwgt = np.ones(n, dtype=np.float64)
-    for v, line in enumerate(lines[1:]):
+    for v, (no, line) in enumerate(lines[1:]):
         tok = line.split()
         idx = 0
         if has_vw:
-            vwgt[v] = float(tok[0])
+            if not tok:
+                raise ValueError(f"line {no}: missing node weight")
+            vwgt[v] = weight(tok[0], no, "node")
             idx = 1
         while idx < len(tok):
             u = int(tok[idx]) - 1
             idx += 1
+            if not 0 <= u < n:
+                raise ValueError(
+                    f"line {no}: neighbour id {u + 1} outside 1..{n}")
             w = 1.0
             if has_ew:
-                w = float(tok[idx])
+                if idx == len(tok):
+                    raise ValueError(
+                        f"line {no}: neighbour {u + 1} has no edge weight")
+                w = weight(tok[idx], no, "edge")
                 idx += 1
             if v < u:  # each undirected edge appears on both lines
                 edges.append((v, u))
                 weights.append(w)
+                pending.setdefault((v, u), []).append((w, no))
+            elif u < v:
+                waiting = pending.get((u, v))
+                if not waiting:
+                    raise ValueError(
+                        f"line {no}: arc {v + 1} -> {u + 1} has no reverse "
+                        f"arc on the line of node {u + 1}")
+                w_rev, _ = waiting.pop(0)
+                if w_rev != w:
+                    raise ValueError(
+                        f"line {no}: arc {v + 1} -> {u + 1} has weight {w} "
+                        f"but its reverse has weight {w_rev}")
+    unmatched = [(no, v, u) for (v, u), waiting in pending.items()
+                 for _, no in waiting]
+    if unmatched:
+        no, v, u = min(unmatched)
+        raise ValueError(
+            f"line {no}: arc {v + 1} -> {u + 1} has no reverse arc on the "
+            f"line of node {u + 1}")
     g = from_edge_list(n, edges, weights, vwgt)
     if g.m != m:
         raise ValueError(f"header claims {m} edges, file has {g.m}")

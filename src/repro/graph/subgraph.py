@@ -9,13 +9,14 @@ per-edge Python loops or passes over the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .csr import Graph
 
-__all__ = ["SubgraphMap", "induced_subgraph", "relabel"]
+__all__ = ["SubgraphMap", "induced_subgraph", "induced_subgraphs", "relabel"]
 
 
 @dataclass(frozen=True)
@@ -24,10 +25,20 @@ class SubgraphMap:
 
     ``to_parent[i]`` is the parent id of subgraph node ``i``;
     ``to_sub[v]`` is the subgraph id of parent node ``v`` or ``-1``.
+    ``to_sub`` has the parent's length, so it is derived from
+    ``to_parent`` on first access rather than stored: a small subgraph
+    of a large graph (a boundary band) costs nothing of the parent's size.
     """
 
     to_parent: np.ndarray
-    to_sub: np.ndarray
+    n_parent: int
+
+    @cached_property
+    def to_sub(self) -> np.ndarray:
+        to_sub = np.full(self.n_parent, -1, dtype=np.int64)
+        to_sub[self.to_parent] = np.arange(len(self.to_parent),
+                                           dtype=np.int64)
+        return to_sub
 
     def lift(self, sub_nodes: Sequence[int]) -> np.ndarray:
         """Map subgraph node ids back to parent ids."""
@@ -46,27 +57,60 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Tuple[Graph, SubgraphMap
     sel = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(sel) and (sel[0] < 0 or sel[-1] >= g.n):
         raise ValueError("node id out of range")
-    to_sub = np.full(g.n, -1, dtype=np.int64)
-    to_sub[sel] = np.arange(len(sel), dtype=np.int64)
+    return induced_subgraphs(g, sel, [0, len(sel)])[0]
 
-    # arcs of the selected rows whose head is selected too: only those
-    # rows are touched, so the cost follows the subgraph, not the graph
-    idx, counts = g.row_arcs(sel)
-    s_src = np.repeat(np.arange(len(sel), dtype=np.int64), counts)
-    s_dst = to_sub[g.adjncy[idx]]
-    keep = s_dst >= 0
+
+def induced_subgraphs(
+    g: Graph, nodes: np.ndarray, bounds: Sequence[int],
+) -> List[Tuple[Graph, SubgraphMap]]:
+    """Extract the subgraphs induced by several disjoint node groups.
+
+    Group ``i`` is ``nodes[bounds[i]:bounds[i + 1]]`` (ascending node
+    ids; no node in two groups).  Only arcs between two nodes of the
+    same group are kept, so each result equals :func:`induced_subgraph`
+    of its group alone, array for array — but all groups share one
+    gather, one filter and one sort.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    bounds = [int(x) for x in bounds]
+    group = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64),
+                      np.diff(bounds))
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[nodes] = np.arange(len(nodes), dtype=np.int64)
+
+    # arcs of the selected rows whose head is in the same group: only
+    # those rows are touched, so the cost follows the subgraphs
+    idx, counts = g.row_arcs(nodes)
+    s_src = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
+    s_dst = pos[g.adjncy[idx]]
+    keep = (s_dst >= 0) & (group[s_dst] == group[s_src])
     s_src, s_dst, s_w = s_src[keep], s_dst[keep], g.adjwgt[idx[keep]]
 
-    order = np.lexsort((s_dst, s_src))
-    s_dst, s_w = s_dst[order], s_w[order]
-    xadj = np.zeros(len(sel) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(s_src, minlength=len(sel)), out=xadj[1:])
-    coords = None if g.coords is None else g.coords[sel]
-    vwgts = None if g.n_constraints == 1 else g.vwgts[sel]
-    fixed = None if g.fixed is None else g.fixed[sel]
-    sub = Graph(xadj, s_dst, s_w, g.vwgt[sel], coords=coords, validate=False,
-                vwgts=vwgts, fixed=fixed)
-    return sub, SubgraphMap(to_parent=sel, to_sub=to_sub)
+    # order each row by target: already so when the parent's rows are
+    # sorted (the usual case), so sort only when a row is not
+    key = s_src * len(nodes) + s_dst
+    if (key[1:] < key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        s_dst, s_w = s_dst[order], s_w[order]
+    xadj = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s_src, minlength=len(nodes)), out=xadj[1:])
+    vwgt = g.vwgt[nodes]
+    coords = None if g.coords is None else g.coords[nodes]
+    vwgts = None if g.n_constraints == 1 else g.vwgts[nodes]
+    fixed = None if g.fixed is None else g.fixed[nodes]
+
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a0, a1 = int(xadj[lo]), int(xadj[hi])
+        sub = Graph(
+            xadj[lo:hi + 1] - a0, s_dst[a0:a1] - lo, s_w[a0:a1],
+            vwgt[lo:hi], validate=False,
+            coords=None if coords is None else coords[lo:hi],
+            vwgts=None if vwgts is None else vwgts[lo:hi],
+            fixed=None if fixed is None else fixed[lo:hi],
+        )
+        out.append((sub, SubgraphMap(to_parent=nodes[lo:hi], n_parent=g.n)))
+    return out
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

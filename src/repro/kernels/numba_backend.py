@@ -31,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.csr import Graph
-from .python_backend import RATING_NAMES
+from .python_backend import RATING_NAMES, band_regions
 from .registry import get_kernel, register
 
 __all__ = ["NUMBA_AVAILABLE"]
@@ -289,7 +289,7 @@ else:  # pragma: no cover - exercised only where numba is installed
         return gains, boundary
 
     @njit(cache=True, nogil=True)
-    def _band_bfs_jit(n, xadj, adjncy, seeds, allowed, max_depth):
+    def _band_bfs_jit(n, xadj, adjncy, seeds, region, max_depth):
         level = np.full(n, -1, dtype=np.int64)
         frontier = np.empty(n, dtype=np.int64)
         nxt = np.empty(n, dtype=np.int64)
@@ -306,9 +306,12 @@ else:  # pragma: no cover - exercised only where numba is installed
             n_count = 0
             for fi in range(f_count):
                 v = frontier[fi]
+                r = region[v]
+                if r < 0:
+                    continue
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adjncy[idx]
-                    if level[u] == -1 and allowed[u]:
+                    if level[u] == -1 and region[u] == r:
                         level[u] = depth
                         nxt[n_count] = u
                         n_count += 1
@@ -319,8 +322,8 @@ else:  # pragma: no cover - exercised only where numba is installed
     @register("band_bfs", "numba")
     def band_bfs(g: Graph, seeds: np.ndarray, allowed: np.ndarray,
                  max_depth: int) -> np.ndarray:
-        """Bounded BFS levels in one JIT'd pass."""
+        """Bounded region-restricted BFS levels in one JIT'd pass."""
         return _band_bfs_jit(
             g.n, _as_i64(g.xadj), _as_i64(g.adjncy), _as_i64(seeds),
-            np.ascontiguousarray(allowed, dtype=np.bool_), int(max_depth),
+            _as_i64(band_regions(allowed, seeds)), int(max_depth),
         )

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from ..graph.csr import Graph
+from .python_backend import band_regions
 from .registry import register
 
 __all__ = ["RATING_FNS"]
@@ -136,27 +137,33 @@ def gain_boundary(g: Graph, side: np.ndarray, scale: float = 1.0,
 @register("band_bfs", "numpy")
 def band_bfs(g: Graph, seeds: np.ndarray, allowed: np.ndarray,
              max_depth: int) -> np.ndarray:
-    """Bounded restricted BFS, whole frontiers expanded per step.
+    """Bounded region-restricted BFS, whole frontiers expanded per step.
 
     Each round gathers all frontier adjacency slices in one shot
-    (:meth:`Graph.gather_neighbors`) instead of looping per node.
+    (:meth:`Graph.row_arcs`), keeps the unvisited neighbours in their
+    source's region, and deduplicates them without a sort: a scratch
+    slot array remembers which candidate wrote each node last.
     """
+    region = band_regions(allowed, seeds)
     level = np.full(g.n, -1, dtype=np.int64)
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    seeds = np.asarray(seeds, dtype=np.int64)
     if len(seeds) == 0:
         return level
     level[seeds] = 0
-    frontier = seeds
+    frontier = seeds[region[seeds] >= 0]
+    slot = np.empty(g.n, dtype=np.int64)
     depth = 0
     while len(frontier) and depth + 1 < max_depth:
         depth += 1
-        cand = g.gather_neighbors(frontier)
+        idx, counts = g.row_arcs(frontier)
+        cand = g.adjncy[idx]
+        cand = cand[(level[cand] == -1)
+                    & (region[cand] == np.repeat(region[frontier], counts))]
         if len(cand) == 0:
             break
-        cand = np.unique(cand)
-        cand = cand[(level[cand] == -1) & allowed[cand]]
-        if len(cand) == 0:
-            break
+        ids = np.arange(len(cand), dtype=np.int64)
+        slot[cand] = ids
+        cand = cand[slot[cand] == ids]
         level[cand] = depth
         frontier = cand
     return level

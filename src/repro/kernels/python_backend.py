@@ -17,7 +17,7 @@ import numpy as np
 from ..graph.csr import Graph
 from .registry import register
 
-__all__ = ["RATING_NAMES"]
+__all__ = ["RATING_NAMES", "band_regions"]
 
 #: the §3.1 rating functions every backend must implement
 RATING_NAMES: Tuple[str, ...] = (
@@ -148,14 +148,34 @@ def gain_boundary(g: Graph, side: np.ndarray, scale: float = 1.0,
     return gains, np.asarray(boundary, dtype=np.int64)
 
 
+def band_regions(allowed: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Per-node region labels of a ``band_bfs`` call (``-1``: no region).
+
+    Integer labels pass through.  A boolean mask is the one-region case:
+    allowed nodes form region 0 and the seeds join it too, so a seed
+    expands whether or not it is itself allowed.
+    """
+    allowed = np.asarray(allowed)
+    if allowed.dtype != np.bool_:
+        return np.asarray(allowed, dtype=np.int64)
+    region = np.where(allowed, 0, -1)
+    region[np.asarray(seeds, dtype=np.int64)] = 0
+    return region
+
+
 @register("band_bfs", "python")
 def band_bfs(g: Graph, seeds: np.ndarray, allowed: np.ndarray,
              max_depth: int) -> np.ndarray:
-    """Bounded BFS levels from ``seeds`` walking only ``allowed`` nodes.
+    """Bounded BFS levels from ``seeds``, each search kept in its region.
 
+    ``allowed`` is a per-node region label (``-1``: outside every region)
+    or a boolean mask (the one-region case, see :func:`band_regions`).
+    A neighbour joins the frontier only when it lies in the region of
+    the node that reaches it, so one call runs many disjoint searches.
     Level values are 0-based (seeds at 0); ``-1`` marks unreached nodes.
     ``max_depth`` counts reached levels: 1 means "the seeds only".
     """
+    region = band_regions(allowed, seeds)
     level = np.full(g.n, -1, dtype=np.int64)
     frontier: List[int] = []
     for s in seeds:
@@ -168,9 +188,12 @@ def band_bfs(g: Graph, seeds: np.ndarray, allowed: np.ndarray,
         depth += 1
         nxt: List[int] = []
         for v in frontier:
+            r = region[v]
+            if r < 0:
+                continue
             for idx in range(g.xadj[v], g.xadj[v + 1]):
                 u = int(g.adjncy[idx])
-                if level[u] == -1 and allowed[u]:
+                if level[u] == -1 and region[u] == r:
                     level[u] = depth
                     nxt.append(u)
         frontier = nxt

@@ -10,7 +10,7 @@ from .gain import (
     cut_between_sides,
 )
 from .fm import FMResult, FMSearch, fm_bipartition_refine, QUEUE_STRATEGIES
-from .band import Band, extract_band
+from .band import Band, extract_band, extract_bands
 from .pairwise import (
     PairResult,
     refine_pair,
@@ -32,6 +32,7 @@ __all__ = [
     "QUEUE_STRATEGIES",
     "Band",
     "extract_band",
+    "extract_bands",
     "PairResult",
     "refine_pair",
     "pairwise_refinement",

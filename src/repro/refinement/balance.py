@@ -31,7 +31,6 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..core import metrics
-from .pq import AddressablePQ
 
 __all__ = ["BalanceState", "exact_lmax", "rebalance"]
 
@@ -174,18 +173,21 @@ def rebalance(
             nodes = nodes[fixed[nodes] < 0]
         if len(nodes) <= 1:
             break
-        # prefer nodes with the smallest (internal - external) cost
-        pq = AddressablePQ()
-        for v in nodes:
-            v = int(v)
-            nbrs = g.neighbors(v)
-            wts = g.incident_weights(v)
-            internal = float(wts[part[nbrs] == src_block].sum())
-            external = float(wts[part[nbrs] != src_block].sum())
-            pq.push(v, external - internal, float(rng.random()))
+        # prefer nodes with the smallest (internal - external) cost:
+        # visit by descending (external - internal, random tiebreak),
+        # all costs from one pass over the block's arcs
+        idx, counts = g.row_arcs(nodes)
+        owner = np.repeat(np.arange(len(nodes)), counts)
+        inside = part[g.adjncy[idx]] == src_block
+        wts = g.adjwgt[idx]
+        internal = np.bincount(owner[inside], weights=wts[inside],
+                               minlength=len(nodes))
+        external = np.bincount(owner[~inside], weights=wts[~inside],
+                               minlength=len(nodes))
+        tiebreak = rng.random(len(nodes))
+        order = np.lexsort((tiebreak, external - internal))[::-1]
         moved_one = False
-        while pq:
-            v, _ = pq.pop()
+        for v in nodes[order].tolist():
             nbrs = g.neighbors(v)
             cand_blocks = np.unique(part[nbrs])
             cand_blocks = cand_blocks[cand_blocks != src_block]

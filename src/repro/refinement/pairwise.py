@@ -24,6 +24,19 @@ Two drivers share the :func:`refine_pair` kernel:
 With the distributed coloring selected on the sequential side, both
 drivers produce identical partitions for identical seeds, for any PE
 count.
+
+Both drivers run one color class in the same shape.  The pairs of a
+color are block-disjoint, so their refinements cannot interact: each
+local iteration extracts the bands of all live pairs with one
+:func:`~repro.refinement.band.extract_bands` call, refines every pair on
+its band (``refine_pair(..., band=band)``), and drops the pairs that did
+not change.  Block sizes come from one ``bincount`` per color, and gains
+and moves are booked in pair-major order, so the sums and tracer
+counters equal those of refining each pair to completion in turn.  The
+SPMD driver sends each partner exactly the band it refines.  Under the
+mapping objective a pair's gain bias reads its third-block neighbours,
+whose blocks other pairs of the color change, so the sequential driver
+then takes the pairs of a color one at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from ..graph.quotient import quotient_graph
 from ..core import metrics
 from ..instrument.tracer import NULL_TRACER
 from ..parallel.coloring import distributed_edge_coloring_spmd
-from .band import Band, extract_band
+from .band import Band, extract_bands
 from .fm import FMSearch
 
 __all__ = ["PairResult", "refine_pair", "pairwise_refinement",
@@ -149,10 +162,14 @@ def refine_pair(
     dist: Optional[np.ndarray] = None,
     aux_block_w: Optional[np.ndarray] = None,
     aux_lmax: Optional[np.ndarray] = None,
+    band: Optional[Band] = None,
 ) -> PairResult:
     """Refine the pair (a, b): extract the band, run the local searches,
     and adopt the best result.  ``part`` and ``block_w`` (and
-    ``aux_block_w`` when given) are updated in place.
+    ``aux_block_w`` when given) are updated in place.  ``band`` passes
+    in the pair's band when the caller already extracted it (the drivers
+    extract a whole color class at once with :func:`extract_bands`);
+    it must be the band of the current ``part``.
 
     ``algorithm`` selects the pair-local search: ``"fm"`` (the paper's
     two seeded FM runs), ``"flow"`` (the Section 8 min-cut-through-the-
@@ -170,7 +187,8 @@ def refine_pair(
     """
     if algorithm not in ("fm", "flow", "fm_flow"):
         raise ValueError(f"unknown pair refinement algorithm {algorithm!r}")
-    band, _ = extract_band(g, part, a, b, depth, within=within)
+    if band is None:
+        band = extract_bands(g, part, [(a, b)], depth, within=within)[0]
     if band.graph.n == 0 or band.graph.m == 0 or not band.movable.any():
         return PairResult(0.0, 0.0, [], 0, band.n_boundary)
 
@@ -347,27 +365,49 @@ def pairwise_refinement(
         total_gain = 0.0
         total_moved = 0
         for matching in rounds:
-            for a, b in matching:
-                sizes = (int((part == a).sum()), int((part == b).sum()))
+            # the pairs of one color are block-disjoint, so they commute:
+            # each local iteration extracts the live pairs' bands in one
+            # call.  Under the mapping objective a pair's gain bias reads
+            # the blocks of its third-block neighbours, which other pairs
+            # of the color move, so there each pair runs on its own.
+            groups = [matching] if dist is None else [[e] for e in matching]
+            sizes = np.bincount(part, minlength=k)
+            for group in groups:
+                logs: List[List[PairResult]] = [[] for _ in group]
+                live = list(range(len(group)))
                 for lit in range(local_iterations):
-                    pr = refine_pair(
-                        g, part, block_w, a, b, lmax, bfs_depth, alpha,
-                        queue_selection,
-                        _pair_seed(seed, git, lit, a, b, 0),
-                        _pair_seed(seed, git, lit, a, b, 1),
-                        sizes,
-                        algorithm=pair_algorithm,
-                        dist=dist,
-                        aux_block_w=aux_block_w,
-                        aux_lmax=aux_lmax,
-                    )
-                    total_gain += pr.gain
-                    total_moved += len(pr.changed)
-                    tracer.count("pairs_refined")
-                    tracer.count("fm_moves_attempted", pr.moves_tried)
-                    tracer.count("fm_moves_accepted", pr.moves_applied)
-                    if not pr.changed:
+                    if not live:
                         break
+                    bands = extract_bands(g, part, [group[i] for i in live],
+                                          bfs_depth)
+                    still = []
+                    for i, band in zip(live, bands):
+                        a, b = group[i]
+                        pr = refine_pair(
+                            g, part, block_w, a, b, lmax, bfs_depth, alpha,
+                            queue_selection,
+                            _pair_seed(seed, git, lit, a, b, 0),
+                            _pair_seed(seed, git, lit, a, b, 1),
+                            (int(sizes[a]), int(sizes[b])),
+                            algorithm=pair_algorithm,
+                            dist=dist,
+                            aux_block_w=aux_block_w,
+                            aux_lmax=aux_lmax,
+                            band=band,
+                        )
+                        logs[i].append(pr)
+                        if pr.changed:
+                            still.append(i)
+                    live = still
+                # book in pair-major order, the accumulation order of
+                # refining each pair to completion, so sums stay exact
+                for log in logs:
+                    for pr in log:
+                        total_gain += pr.gain
+                        total_moved += len(pr.changed)
+                        tracer.count("pairs_refined")
+                        tracer.count("fm_moves_attempted", pr.moves_tried)
+                        tracer.count("fm_moves_accepted", pr.moves_applied)
         tracer.count("refine_gain", total_gain)
         tracer.count("nodes_moved", total_moved)
         if stop_rule == "always":
@@ -448,20 +488,21 @@ def pairwise_refinement_spmd(
             # sends make the interleaved exchanges deadlock-free).  The
             # pairs of one color form a matching on the quotient graph,
             # so their refinements touch disjoint blocks and commute
-            # bit-exactly — which lets each local iteration run the band
-            # exchanges pair by pair and then hand the refine_pair calls
-            # to ``comm.map_batch`` as one stealable batch (idle PEs of
-            # the threads engine pick pairs off the far end).
+            # bit-exactly — which lets each local iteration extract all
+            # live bands in one call, run the band exchanges pair by pair
+            # and then hand the refine_pair calls to ``comm.map_batch`` as
+            # one stealable batch (idle PEs of the threads engine pick
+            # pairs off the far end).
             mine = sorted(e for e, c in my_colors.items() if c == color)
             updates: List[Tuple[int, int]] = []
+            sizes = np.bincount(part, minlength=k)
             pairs = []
             for a, b in mine:
                 pairs.append({
                     "edge": (a, b),
                     "partner": (owner(b) if owner(a) == comm.rank
                                 else owner(a)),
-                    "sizes": (int((part == a).sum()),
-                              int((part == b).sum())),
+                    "sizes": (int(sizes[a]), int(sizes[b])),
                     "log": [],       # PairResult per executed local iter
                     "live": True,
                 })
@@ -469,11 +510,11 @@ def pairwise_refinement_spmd(
                 live = [p_ for p_ in pairs if p_["live"]]
                 if not live:
                     break
-                for p_ in live:
-                    a, b = p_["edge"]
+                bands = extract_bands(g, part, [p_["edge"] for p_ in live],
+                                      bfs_depth)
+                for p_, band in zip(live, bands):
                     # exchange boundary bands (the communication the cost
                     # model must see — Figure 2's boundary exchange)
-                    band, _ = extract_band(g, part, a, b, bfs_depth)
                     payload = (
                         band.graph.xadj, band.graph.adjncy,
                         band.graph.adjwgt, band.smap.to_parent,
@@ -482,9 +523,10 @@ def pairwise_refinement_spmd(
                         comm.sendrecv(payload, p_["partner"], tag=100 + lit)
                     comm.compute(band.graph.m)
 
-                # both owners perform both seeded searches and adopt the
-                # same better result (deterministic agreement)
-                def refine_task(p_, lit=lit):
+                # both owners perform both seeded searches on the band
+                # they exchanged and adopt the same better result
+                # (deterministic agreement)
+                def refine_task(p_, band, lit=lit):
                     a, b = p_["edge"]
                     return refine_pair(
                         g, part, block_w, a, b, lmax, bfs_depth, alpha,
@@ -496,10 +538,12 @@ def pairwise_refinement_spmd(
                         dist=dist,
                         aux_block_w=aux_block_w,
                         aux_lmax=aux_lmax,
+                        band=band,
                     )
 
                 prs = comm.map_batch(
-                    [lambda p_=p_: refine_task(p_) for p_ in live])
+                    [lambda p_=p_, band=band: refine_task(p_, band)
+                     for p_, band in zip(live, bands)])
                 for p_, pr in zip(live, prs):
                     p_["log"].append(pr)
                     if not pr.changed:

@@ -9,9 +9,10 @@ by passing random secondary keys).
 
 FM local search does not use this class: its two queues are lazy
 :mod:`heapq` binary heaps over plain lists (see
-:mod:`repro.refinement.fm`), which need no position map.  It remains the
-queue of rebalancing (:mod:`repro.refinement.balance`) and of the
-initial partitioners' region growing, which remove and re-key items.
+:mod:`repro.refinement.fm`), which need no position map, and
+rebalancing (:mod:`repro.refinement.balance`) never re-keys, so it
+sorts its candidates once instead.  It remains the queue of the initial
+partitioners' region growing, which removes and re-keys items.
 """
 
 from __future__ import annotations

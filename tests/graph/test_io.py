@@ -76,6 +76,59 @@ class TestMetis:
             read_metis(io.StringIO(text))
 
 
+class TestMetisValidation:
+    """Malformed adjacency is rejected with the offending file line."""
+
+    def read(self, text):
+        return read_metis(io.StringIO(text))
+
+    def test_neighbour_id_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: neighbour id 0"):
+            self.read("3 2\n0 2\n1 3\n2\n")
+
+    def test_neighbour_id_above_n_rejected(self):
+        with pytest.raises(ValueError, match=r"line 4: neighbour id 4"):
+            self.read("3 2\n2\n1 3\n2 4\n")
+
+    def test_one_sided_adjacency_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: arc 1 -> 2 has no "
+                                             r"reverse"):
+            self.read("3 2\n2 3\n\n\n")
+
+    def test_reverse_without_forward_rejected(self):
+        with pytest.raises(ValueError, match=r"line 3: arc 2 -> 1 has no "
+                                             r"reverse"):
+            self.read("2 1\n\n1\n")
+
+    def test_asymmetric_weights_rejected(self):
+        with pytest.raises(ValueError, match=r"line 3: arc 2 -> 1 has "
+                                             r"weight 4.0"):
+            self.read("2 1 1\n2 3\n1 4\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_edge_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"line 2: non-finite edge"):
+            self.read(f"2 1 1\n2 {bad}\n1 {bad}\n")
+
+    def test_non_finite_node_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"line 3: non-finite node"):
+            self.read("2 1 10\n1 2\nnan 1\n")
+
+    def test_missing_edge_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: neighbour 2 has no "
+                                             r"edge weight"):
+            self.read("2 1 1\n2\n1 1\n")
+
+    def test_line_numbers_count_comments(self):
+        with pytest.raises(ValueError, match=r"line 4: neighbour id 9"):
+            self.read("% comment\n3 2\n2\n1 9\n2\n")
+
+    def test_symmetric_file_still_reads(self):
+        g = self.read("% c\n3 2 11\n1 2 5\n2 1 5 3 7\n3 2 7\n")
+        assert (g.n, g.m) == (3, 2)
+        assert g.incident_weights(1).tolist() == [5.0, 7.0]
+
+
 class TestDimacs:
     def test_roundtrip(self, two_triangles):
         assert roundtrip_dimacs(two_triangles) == two_triangles

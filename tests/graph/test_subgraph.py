@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import induced_subgraph, relabel, from_edge_list, grid2d_graph
+from repro.graph import (Graph, induced_subgraph, relabel, from_edge_list,
+                         grid2d_graph)
 from tests.conftest import random_graphs
 
 
@@ -45,6 +46,18 @@ class TestInducedSubgraph:
         for i, v in enumerate(sorted(nodes)):
             assert smap.to_sub[v] == i
         assert smap.to_sub[0] == -1
+
+    def test_unsorted_rows_come_out_sorted(self):
+        """Rows of the parent in descending target order: each subgraph
+        row is sorted by target, weights travelling with their arcs."""
+        g = Graph(np.array([0, 3, 5, 7, 8]),
+                  np.array([3, 2, 1, 2, 0, 1, 0, 0]),
+                  np.array([4.0, 3.0, 2.0, 5.0, 2.0, 5.0, 3.0, 4.0]),
+                  np.ones(4))
+        sub, _ = induced_subgraph(g, [0, 1, 2])
+        assert sub.xadj.tolist() == [0, 2, 4, 6]
+        assert sub.adjncy.tolist() == [1, 2, 0, 2, 0, 1]
+        assert sub.adjwgt.tolist() == [2.0, 3.0, 2.0, 5.0, 3.0, 5.0]
 
 
 class TestRelabel:

@@ -7,12 +7,16 @@ from repro.core import metrics
 from repro.generators import delaunay_graph, random_geometric_graph
 from repro.graph import from_edge_list, grid2d_graph
 from repro.engine import get_engine
+from repro.core.objectives import Topology
+from repro.graph.quotient import quotient_graph
 from repro.refinement import (
     extract_band,
     pairwise_refinement,
     pairwise_refinement_spmd,
     refine_pair,
 )
+from repro.refinement.pairwise import _pair_seed
+from repro.refinement.scheduling import coloring_rounds
 
 
 class TestBand:
@@ -129,6 +133,57 @@ class TestPairwiseRefinement:
         part = np.zeros(6, dtype=np.int64)
         out = pairwise_refinement(two_triangles, part, 1, seed=0)
         assert np.array_equal(out, part)
+
+
+class TestColorBatching:
+    """The sequential driver refines a color class as local iterations
+    over all its live pairs; that must equal refining each pair to
+    completion before the next (one global iteration compared)."""
+
+    K, EPS, DEPTH, ALPHA = 16, 0.2, 3, 0.05
+
+    def _instance(self, seed):
+        g = random_geometric_graph(2000, seed=5)
+        rng = np.random.default_rng(seed)
+        cell = (np.floor(g.coords[:, 0] * 4) * 4
+                + np.floor(g.coords[:, 1] * 4)).astype(np.int64)
+        part = np.clip(cell, 0, self.K - 1)
+        flip = rng.random(g.n) < 0.3
+        part[flip] = rng.integers(0, self.K, int(flip.sum()))
+        return g, part
+
+    def _pair_by_pair(self, g, part, seed, dist):
+        part = part.copy()
+        lmax = metrics.lmax(g, self.K, self.EPS)
+        block_w = metrics.block_weights(g, part, self.K)
+        for matching in coloring_rounds(quotient_graph(g, part, self.K),
+                                        seed):
+            for a, b in matching:
+                sizes = (int((part == a).sum()), int((part == b).sum()))
+                for lit in range(3):
+                    pr = refine_pair(
+                        g, part, block_w, a, b, lmax, self.DEPTH,
+                        self.ALPHA, "top_gain",
+                        _pair_seed(seed, 0, lit, a, b, 0),
+                        _pair_seed(seed, 0, lit, a, b, 1),
+                        sizes, dist=dist)
+                    if not pr.changed:
+                        break
+        return part
+
+    @pytest.mark.parametrize("objective", ["cut", "mapping"])
+    @pytest.mark.parametrize("seed", range(6, 12))
+    def test_matches_pair_by_pair(self, objective, seed):
+        g, part = self._instance(seed)
+        topology = Topology.parse("2:2:4") if objective == "mapping" \
+            else None
+        dist = None if topology is None else topology.distance_matrix()
+        batched = pairwise_refinement(
+            g, part, self.K, epsilon=self.EPS, bfs_depth=self.DEPTH,
+            alpha=self.ALPHA, max_global_iterations=1, stop_rule="always",
+            seed=seed, topology=topology)
+        assert np.array_equal(batched,
+                              self._pair_by_pair(g, part, seed, dist))
 
 
 class TestSPMDEquivalence:

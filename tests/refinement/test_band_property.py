@@ -1,20 +1,24 @@
-"""Property test: ``extract_band`` against a brute-force reference.
+"""Property tests: ``extract_band`` against a brute-force reference,
+and ``extract_bands`` against ``extract_band``.
 
 The reference spells the band out node by node — the pair boundary,
 a plain BFS from it inside the (optionally ``within``-clipped) pair, the
 one-hop halo, and the induced arcs sorted by (source, target) — on
 random small graphs with random block assignments, masks and fixed
-vertices.
+vertices.  The batch test checks that extracting the bands of several
+block-disjoint pairs in one call gives, pair for pair, exactly the band
+of extracting that pair alone.
 """
 
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.refinement.band import extract_band
+from repro.refinement.band import extract_band, extract_bands
 from tests.conftest import random_graphs
 
 
@@ -55,10 +59,10 @@ def reference_band(g: Graph, part, a, b, depth, within, fixed):
 
 
 @st.composite
-def band_cases(draw):
+def band_cases(draw, k=4):
     g = draw(random_graphs(max_n=20))
     n = g.n
-    part = np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+    part = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
                                   max_size=n)), dtype=np.int64)
     within = None
     if draw(st.booleans()):
@@ -95,3 +99,43 @@ def test_extract_band_matches_brute_force(case):
     to_sub = np.full(g.n, -1)
     to_sub[selected] = np.arange(len(selected))
     assert band.smap.to_sub.tolist() == to_sub.tolist()
+
+
+@st.composite
+def batch_cases(draw):
+    """A band case over 6 blocks plus a random list of block-disjoint
+    pairs, in random order and orientation."""
+    g, part, within, fixed, depth = draw(band_cases(k=6))
+    blocks = draw(st.permutations(range(6)))
+    n_pairs = draw(st.integers(1, 3))
+    pairs = [(blocks[2 * i], blocks[2 * i + 1]) for i in range(n_pairs)]
+    return g, part, within, depth, pairs
+
+
+def band_arrays(band):
+    sub = band.graph
+    return [sub.xadj, sub.adjncy, sub.adjwgt, sub.vwgt,
+            np.zeros(0) if sub.fixed is None else sub.fixed,
+            band.smap.to_parent, band.smap.to_sub, band.side, band.movable]
+
+
+@given(case=batch_cases())
+@settings(max_examples=150, deadline=None)
+def test_extract_bands_equals_one_pair_extraction(case):
+    g, part, within, depth, pairs = case
+    bands = extract_bands(g, part, pairs, depth, within=within)
+    assert len(bands) == len(pairs)
+    for (a, b), band in zip(pairs, bands):
+        alone, _ = extract_band(g, part, a, b, depth, within=within)
+        for got, want in zip(band_arrays(band), band_arrays(alone)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert band.n_boundary == alone.n_boundary
+        assert (band.graph.fixed is None) == (alone.graph.fixed is None)
+
+
+def test_extract_bands_rejects_overlapping_pairs(grid8):
+    part = np.arange(grid8.n) % 4
+    with pytest.raises(ValueError, match="block-disjoint"):
+        extract_bands(grid8, part, [(0, 1), (1, 2)], 2)
+    assert extract_bands(grid8, part, [], 2) == []

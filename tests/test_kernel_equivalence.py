@@ -280,6 +280,28 @@ class TestBandBFSEquivalence:
         for fast in rest:
             assert np.array_equal(ref, fast)
 
+    @given(g=random_graphs(max_n=24, weighted=True, connected=True),
+           seed=st.integers(0, 2**31 - 1),
+           depth=st.integers(1, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_identical_levels_with_region_labels(self, g, seed, depth):
+        """Per-node region labels (``-1``: none): identical on every
+        backend, and each region searched as if on its own."""
+        rng = np.random.default_rng(seed)
+        region = rng.integers(-1, 3, size=g.n)
+        seeds = np.flatnonzero(rng.random(g.n) < 0.3)
+        ref, *rest = run_all("band_bfs", g, seeds, region, depth)
+        for fast in rest:
+            assert np.array_equal(ref, fast)
+        expect = np.full(g.n, -1, dtype=np.int64)
+        expect[seeds] = 0
+        for r in range(3):
+            mine = seeds[region[seeds] == r]
+            if len(mine):
+                lv, *_ = run_all("band_bfs", g, mine, region == r, depth)
+                expect[lv > 0] = lv[lv > 0]
+        assert np.array_equal(ref, expect)
+
     @pytest.mark.parametrize("depth", [1, 5, 20])
     def test_extract_band_identical_across_backends(self, delaunay300,
                                                     depth):
