@@ -171,16 +171,13 @@ def parmetis_like_partition(
 def _local_only_matching(g: Graph, owner: np.ndarray, p: int,
                          seed: int) -> np.ndarray:
     """SHEM restricted to PE-local edges — the gap graph is ignored."""
-    from ..coarsening.matching.parallel import _local_matching
+    from ..coarsening.matching.parallel import _apply_pairs, _local_matching
 
     matching = np.arange(g.n, dtype=np.int64)
     for r in range(p):
         rng = np.random.default_rng((seed, r))
-        for a, b in _local_matching(
-            g, np.nonzero(owner == r)[0], "shem", "weight", rng
-        ):
-            matching[a] = b
-            matching[b] = a
+        _apply_pairs(matching, _local_matching(
+            g, np.nonzero(owner == r)[0], "shem", "weight", rng))
     return matching
 
 

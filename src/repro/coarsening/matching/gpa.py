@@ -72,32 +72,6 @@ def _cycle_matching(weights: List[float]) -> Tuple[float, List[int]]:
     return w_without0, [i + 1 for i in sel0]
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def link(self, ra: int, rb: int) -> int:
-        """Merge the components of the distinct roots ``ra``, ``rb``;
-        returns the new root."""
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return ra
-
-
 def gpa_matching(
     g: Graph,
     scores: np.ndarray,
@@ -119,34 +93,31 @@ def gpa_matching(
 
     # -- phase 1: grow a collection of paths and even cycles ------------
     # every node has at most two collected edges: the first goes to
-    # slot 1, the second to slot 2
+    # slot 1, the second to slot 2.  Paths only ever join at their
+    # endpoints, so a path is tracked at its two ends alone: ``end[x]``
+    # is the other endpoint of x's path and ``length[x]`` its edge count
+    # (valid while x has degree < 2).  A closed cycle needs no flag: its
+    # nodes all have degree 2 and are skipped.
     deg = [0] * n
     nb1, w1 = [-1] * n, [0.0] * n
     nb2, w2 = [-1] * n, [0.0] * n
-    uf = _UnionFind(n)
-    find, parent = uf.find, uf.parent
-    edge_count = [0] * n   # per component root
-    closed = [False] * n   # component already a cycle
+    end = list(range(n))
+    length = [0] * n
 
     for u, v, w in zip(us[order].tolist(), vs[order].tolist(),
                        np.asarray(scores, dtype=np.float64)[order].tolist()):
         du, dv = deg[u], deg[v]
         if du >= 2 or dv >= 2:
             continue
-        ru = u if parent[u] == u else find(u)
-        rv = v if parent[v] == v else find(v)
-        if ru == rv:
+        if end[u] == v:
             # u, v are the two endpoints of one path; close it into a
             # cycle only when the cycle length would be even
-            if closed[ru] or edge_count[ru] % 2 == 0:
+            if length[u] % 2 == 0:
                 continue
-            edge_count[ru] += 1
-            closed[ru] = True
         else:
-            if closed[ru] or closed[rv]:
-                continue
-            total = edge_count[ru] + edge_count[rv] + 1
-            edge_count[uf.link(ru, rv)] = total
+            eu, ev = end[u], end[v]
+            end[eu], end[ev] = ev, eu
+            length[eu] = length[ev] = length[u] + length[v] + 1
         if du:
             nb2[u], w2[u] = v, w
         else:

@@ -20,6 +20,12 @@ Two entry points share all kernels:
   passing.  Both produce identical matchings for identical seeds because
   the locally-dominant matching is canonical under a global total order on
   edges (score, then edge id).
+
+Everything the SPMD version exchanges in bulk is a numpy ``int64`` array,
+the flat integer buffer an MPI code would send: each PE's matched pairs
+(a ``(P, 2)`` array), its per-round gap proposals (edge ids, one array
+per destination PE) and the dominant edge set.  The wire codec copies
+one buffer per array, and the sim engine charges its ``nbytes``.
 """
 
 from __future__ import annotations
@@ -46,22 +52,25 @@ __all__ = [
 def _local_matching(
     g: Graph, nodes: np.ndarray, algorithm: str, rating: str,
     rng: Optional[np.random.Generator],
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """Run a sequential matcher on the subgraph induced by ``nodes``;
-    return matched pairs in *global* ids."""
+    return the matched pairs in *global* ids as a ``(P, 2)`` int64 array
+    (each pair once, lower local id first)."""
     sub, smap = induced_subgraph(g, nodes)
     if sub.m == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     # fixed vertices (carried into the subgraph) are unmatchable
     forbidden = None if sub.fixed is None else sub.fixed >= 0
     local = dispatch(sub, algorithm=algorithm, rating=rating, rng=rng,
                      forbidden=forbidden)
-    v = np.arange(sub.n)
-    sel = local > v
-    return [
-        (int(a), int(b))
-        for a, b in zip(smap.to_parent[v[sel]], smap.to_parent[local[sel]])
-    ]
+    a = np.nonzero(local > np.arange(sub.n))[0]
+    return np.stack([smap.to_parent[a], smap.to_parent[local[a]]], axis=1)
+
+
+def _apply_pairs(matching: np.ndarray, pairs: np.ndarray) -> None:
+    """Scatter the ``(P, 2)`` matched ``pairs`` into ``matching``."""
+    matching[pairs[:, 0]] = pairs[:, 1]
+    matching[pairs[:, 1]] = pairs[:, 0]
 
 
 def _drop_fixed_endpoints(g: Graph, us: np.ndarray, vs: np.ndarray,
@@ -161,11 +170,8 @@ def parallel_matching(
     # -- phase 1: local sequential matching per PE -----------------------
     for r in range(p):
         rng = np.random.default_rng((seed, r))
-        for a, b in _local_matching(
-            g, np.nonzero(owner == r)[0], algorithm, rating, rng
-        ):
-            matching[a] = b
-            matching[b] = a
+        _apply_pairs(matching, _local_matching(
+            g, np.nonzero(owner == r)[0], algorithm, rating, rng))
 
     # -- phase 2: locally-dominant matching on the gap graph -------------
     mscore = _matched_scores(g.n, matching, us, vs, scores)
@@ -204,12 +210,8 @@ def parallel_matching_spmd(
     my_nodes = np.nonzero(owner == rank)[0]
     my_pairs = _local_matching(g, my_nodes, algorithm, rating, rng)
     comm.compute(len(my_nodes))
-    all_pairs = comm.allgather(my_pairs)
     matching = empty_matching(g.n)
-    for pair_list in all_pairs:
-        for a, b in pair_list:
-            matching[a] = b
-            matching[b] = a
+    _apply_pairs(matching, np.concatenate(comm.allgather(my_pairs)))
 
     # -- phase 2: distributed locally-dominant rounds ---------------------
     us, vs, ws, scores = rate_edges(g, rating)
@@ -221,53 +223,47 @@ def parallel_matching_spmd(
     order_pos = np.empty(len(gap), dtype=np.int64)
     order_pos[order_rank] = np.arange(len(gap))
     alive = np.ones(len(gap), dtype=bool)
+    # gap edges cross PEs, so at most one endpoint of each is owned here
+    mine_u = owner[gus] == rank
+    touches_me = mine_u | (owner[gvs] == rank)
+    my_end = np.where(mine_u, gus, gvs)
+    partner_pe = owner[np.where(mine_u, gvs, gus)]
 
     while True:
         remaining = comm.allreduce(int(alive.sum()))
         if remaining == 0:
             break
-        # each PE proposes, for every owned endpoint, its best alive edge
-        proposals: List[List[Tuple[int, int]]] = [[] for _ in range(comm.size)]
-        best: Dict[int, int] = {}
-        for i in np.nonzero(alive)[0]:
-            for x, y in ((int(gus[i]), int(gvs[i])), (int(gvs[i]), int(gus[i]))):
-                if owner[x] == rank:
-                    j = best.get(x)
-                    if j is None or order_pos[i] < order_pos[j]:
-                        best[x] = int(i)
-        my_proposed = set()
-        for x, i in best.items():
-            other = int(gvs[i]) if int(gus[i]) == x else int(gus[i])
-            proposals[int(owner[other])].append((x, int(i)))
-            my_proposed.add(int(i))
+        # each PE proposes, for every owned endpoint, its best alive edge:
+        # the first of the endpoint's run when sorted by (endpoint, order)
+        edges = np.nonzero(alive & touches_me)[0]
+        edges = edges[np.lexsort((order_pos[edges], my_end[edges]))]
+        _, first = np.unique(my_end[edges], return_index=True)
+        my_proposed = edges[first]
+        # the partner endpoint's owner receives the proposal
+        dest = partner_pe[my_proposed]
+        proposals = [my_proposed[dest == d] for d in range(comm.size)]
         comm.compute(int(alive.sum()))
         incoming = comm.alltoall(proposals)
 
         # an edge proposed from *both* sides is locally dominant: I
         # proposed it for my endpoint and the partner PE proposed it too
-        newly = sorted({
-            i
-            for plist in incoming
-            for _, i in plist
-            if i in my_proposed
-        })
-        # every PE sees the same dominant set after sharing
-        newly = comm.allreduce(newly, op=lambda a, b: sorted(set(a) | set(b)))
-        if not newly:
+        newly = np.intersect1d(np.concatenate(incoming), my_proposed)
+        # every PE sees the same sorted dominant set after sharing
+        newly = comm.allreduce(newly, op=np.union1d)
+        if len(newly) == 0:
             # no progress is impossible while edges remain alive; guard
             # against it anyway to fail loudly rather than loop forever
-            if remaining:
-                raise RuntimeError("gap matching stalled")
-            break
-        taken = np.zeros(g.n, dtype=bool)
-        for i in newly:
-            u, v = int(gus[i]), int(gvs[i])
+            raise RuntimeError("gap matching stalled")
+        # ascending edge order makes the displacements canonical
+        for u, v in zip(gus[newly].tolist(), gvs[newly].tolist()):
             for x in (u, v):
                 old = int(matching[x])
                 if old != x:
                     matching[old] = old
             matching[u] = v
             matching[v] = u
-            taken[u] = taken[v] = True
+        taken = np.zeros(g.n, dtype=bool)
+        taken[gus[newly]] = True
+        taken[gvs[newly]] = True
         alive &= ~(taken[gus] | taken[gvs])
     return matching

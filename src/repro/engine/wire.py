@@ -16,10 +16,18 @@ engines.
 Format: one type-tag byte, then a fixed-width ``struct`` payload or a
 length-prefixed body; containers recurse.  Integers outside int64 fall
 back to a length-prefixed big-int encoding.
+
+:func:`decode` reads untrusted bytes (pipes, checkpoint files), so every
+malformed frame — truncated, negative lengths, an array whose shape
+disagrees with its body, object or unparseable dtypes, invalid UTF-8,
+unhashable set members or dict keys — raises :class:`WireError` and
+nothing else.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import struct
 from typing import Any, List
 
@@ -29,7 +37,8 @@ __all__ = ["encode", "decode", "WireError"]
 
 
 class WireError(TypeError):
-    """Payload contains a type the wire format does not support."""
+    """Payload contains a type the wire format does not support, or a
+    frame being decoded is malformed."""
 
 
 _T_NONE = b"N"
@@ -53,6 +62,10 @@ _D = struct.Struct("<d")
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+
+#: shape of every ``dtype.str`` the encoder emits (byte order, kind,
+#: item size, optional datetime unit); anything else is malformed
+_DTYPE_STR = re.compile(rb"[<>|=][a-zA-Z][0-9]+(\[[0-9a-zA-Z]+\])?")
 
 
 def _encode_into(obj: Any, out: List[bytes]) -> None:
@@ -157,6 +170,26 @@ class _Reader:
     def take_int(self) -> int:
         return _Q.unpack(self.take(8))[0]
 
+    def take_len(self) -> int:
+        """A length, count or dimension: a non-negative int64."""
+        n = self.take_int()
+        if n < 0:
+            raise WireError(f"negative length {n} in wire payload")
+        return n
+
+    def take_dtype(self) -> np.dtype:
+        raw = bytes(self.take(self.take_len()))
+        if _DTYPE_STR.fullmatch(raw) is None:
+            raise WireError(f"malformed dtype {raw!r} in wire payload")
+        try:
+            dtype = np.dtype(raw.decode("ascii"))
+        except (TypeError, ValueError):
+            raise WireError(
+                f"unknown dtype {raw!r} in wire payload") from None
+        if dtype.hasobject or dtype.itemsize == 0:
+            raise WireError(f"dtype {dtype} cannot cross the wire")
+        return dtype
+
 
 def _decode_from(r: _Reader) -> Any:
     tag = bytes(r.take(1))
@@ -169,45 +202,65 @@ def _decode_from(r: _Reader) -> Any:
     if tag == _T_INT:
         return r.take_int()
     if tag == _T_BIGINT:
-        n = r.take_int()
-        return int.from_bytes(r.take(n), "big", signed=True)
+        return int.from_bytes(r.take(r.take_len()), "big", signed=True)
     if tag == _T_FLOAT:
         return _D.unpack(r.take(8))[0]
     if tag == _T_STR:
-        n = r.take_int()
-        return bytes(r.take(n)).decode("utf-8")
+        try:
+            return str(r.take(r.take_len()), "utf-8")
+        except UnicodeDecodeError:
+            raise WireError("invalid UTF-8 in wire string") from None
     if tag == _T_BYTES:
-        n = r.take_int()
-        return bytes(r.take(n))
+        return bytes(r.take(r.take_len()))
     if tag in (_T_TUPLE, _T_LIST):
-        n = r.take_int()
-        items = [_decode_from(r) for _ in range(n)]
+        items = [_decode_from(r) for _ in range(r.take_len())]
         return tuple(items) if tag == _T_TUPLE else items
     if tag == _T_DICT:
-        n = r.take_int()
-        return {_decode_from(r): _decode_from(r) for _ in range(n)}
+        pairs = [(_decode_from(r), _decode_from(r))
+                 for _ in range(r.take_len())]
+        return _hashed(dict, pairs)
     if tag in (_T_SET, _T_FROZENSET):
-        n = r.take_int()
-        items = [_decode_from(r) for _ in range(n)]
-        return set(items) if tag == _T_SET else frozenset(items)
+        items = [_decode_from(r) for _ in range(r.take_len())]
+        return _hashed(set if tag == _T_SET else frozenset, items)
     if tag == _T_NDARRAY:
-        dtype = np.dtype(bytes(r.take(r.take_int())).decode("ascii"))
-        ndim = r.take_int()
-        shape = tuple(r.take_int() for _ in range(ndim))
-        body = r.take(r.take_int())
+        dtype = r.take_dtype()
+        shape = tuple(r.take_len() for _ in range(r.take_len()))
+        body = r.take(r.take_len())
+        if math.prod(shape) * dtype.itemsize != len(body):
+            raise WireError(f"array body of {len(body)} bytes does not "
+                            f"hold shape {shape} of {dtype}")
+        try:
+            arr = np.frombuffer(body, dtype=dtype).reshape(shape)
+        except ValueError as exc:  # e.g. more dims than numpy supports
+            raise WireError(f"bad array frame: {exc}") from None
         # copy out of the receive buffer so the array owns its memory
-        return np.frombuffer(body, dtype=dtype).reshape(shape).copy()
+        return arr.copy()
     if tag == _T_NPSCALAR:
-        dtype = np.dtype(bytes(r.take(r.take_int())).decode("ascii"))
-        body = r.take(r.take_int())
+        dtype = r.take_dtype()
+        body = r.take(r.take_len())
+        if len(body) != dtype.itemsize:
+            raise WireError(f"scalar body of {len(body)} bytes for {dtype}")
         return np.frombuffer(body, dtype=dtype)[0]
     raise WireError(f"unknown wire tag {tag!r}")
 
 
+def _hashed(kind, items: list) -> Any:
+    """Build a dict/set from decoded ``items``; a malformed frame can
+    decode an unhashable key or member."""
+    try:
+        return kind(items)
+    except TypeError as exc:
+        raise WireError(f"unhashable entry in wire payload: {exc}") from None
+
+
 def decode(buf: bytes) -> Any:
-    """Inverse of :func:`encode`."""
+    """Inverse of :func:`encode`; raises :class:`WireError` on any
+    malformed frame."""
     r = _Reader(buf)
-    obj = _decode_from(r)
+    try:
+        obj = _decode_from(r)
+    except RecursionError:
+        raise WireError("wire payload nested too deeply") from None
     if r.pos != len(r.buf):
         raise WireError("trailing bytes after wire payload")
     return obj

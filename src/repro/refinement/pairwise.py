@@ -557,10 +557,14 @@ def pairwise_refinement_spmd(
                     for pr in p_["log"]:
                         updates.extend(pr.changed)
                         total_gain += pr.gain
-            # share moves of this color class with all PEs
-            all_updates = comm.allgather(updates)
-            for lst in all_updates:
-                for v, nb in lst:
+            # share moves of this color class with all PEs as (node,
+            # block) rows; applied in list order, one move at a time, so
+            # the float block-weight sums stay bit-exact (a node may move
+            # twice across local iterations)
+            all_updates = comm.allgather(
+                np.array(updates, dtype=np.int64).reshape(-1, 2))
+            for moves in all_updates:
+                for v, nb in moves.tolist():
                     if part[v] != nb:
                         block_w[part[v]] -= g.vwgt[v]
                         block_w[nb] += g.vwgt[v]
@@ -568,7 +572,7 @@ def pairwise_refinement_spmd(
                             aux_block_w[part[v]] -= g.vwgts[v, 1:]
                             aux_block_w[nb] += g.vwgts[v, 1:]
                         part[v] = nb
-            total_moved += sum(len(lst) for lst in all_updates)
+            total_moved += sum(len(moves) for moves in all_updates)
         if stop_rule == "always":
             break
         round_gain = comm.allreduce(total_gain)

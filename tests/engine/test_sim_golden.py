@@ -2,10 +2,12 @@
 
 The sim engine's clocks advance only by ``MachineModel`` charges on the
 program's own sends, receives, collectives and ``compute()`` calls, so
-they are a pure function of (graph, k, seed, config).  These constants
-were recorded with the thread-based simulated cluster the engine used to
-wrap; any drift means the cost model or the message/collective schedule
-changed.  Update them deliberately, never to make a red test green.
+they are a pure function of (graph, k, seed, config).  ``GOLDEN``
+includes the byte term (an array payload is charged its ``nbytes``);
+``GOLDEN_BYTE_FREE`` prices bytes at zero, so it pins the collective and
+message schedule and the compute charges alone.  Any drift means the
+cost model, the payload sizes or the schedule changed.  Update them
+deliberately, never to make a red test green.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.core import MINIMAL, KappaPartitioner
 from repro.core.spmd import kappa_spmd_program
 from repro.engine import get_engine
 from repro.generators import delaunay_graph, random_geometric_graph
+from repro.parallel.costmodel import MachineModel
 
 SEED = 3
 
@@ -24,15 +27,26 @@ GRAPHS = {
 
 #: (graph, k) -> (sim_time_s, per-PE clocks, cut)
 GOLDEN = {
-    ("rgg600", 2): (0.00045559038461538394,
-                    [0.00045559038461538394] * 2, 5.0),
-    ("rgg600", 4): (0.0010412242307692298,
-                    [0.0010412242307692298] * 4, 33.0),
-    ("delaunay600", 2): (0.00048279153846153805,
-                         [0.00048279153846153805,
-                          0.00048276923076923036], 92.0),
-    ("delaunay600", 4): (0.0009370703846153832,
-                         [0.0009370703846153832] * 4, 230.0),
+    ("rgg600", 2): (0.00045749038461538393,
+                    [0.00045749038461538393] * 2, 5.0),
+    ("rgg600", 4): (0.0010429857692307682,
+                    [0.0010429857692307682] * 4, 33.0),
+    ("delaunay600", 2): (0.00048466999999999955,
+                         [0.00048466999999999955,
+                          0.00048464538461538416], 92.0),
+    ("delaunay600", 4): (0.0009389411538461524,
+                         [0.0009389411538461524] * 4, 230.0),
+}
+
+#: (graph, k) -> makespan with ``byte_time_s=0``: only latencies and
+#: compute charges count, so these pin the collective/message schedule
+#: and the compute calls independently of payload sizes (every PE's
+#: clock equals the makespan on these rows)
+GOLDEN_BYTE_FREE = {
+    ("rgg600", 2): 0.0004366749999999988,
+    ("rgg600", 4): 0.0010016749999999985,
+    ("delaunay600", 2): 0.00042604999999999916,
+    ("delaunay600", 4): 0.0008523749999999985,
 }
 
 
@@ -53,3 +67,12 @@ def test_sim_time_and_clocks_pinned(graphs, name, k):
     run = get_engine("sim", k).run(kappa_spmd_program, g, k, SEED, MINIMAL)
     assert run.clocks == clocks
     assert run.makespan == sim_time
+
+
+@pytest.mark.parametrize("name,k", sorted(GOLDEN_BYTE_FREE))
+def test_byte_free_schedule_pinned(graphs, name, k):
+    makespan = GOLDEN_BYTE_FREE[(name, k)]
+    engine = get_engine("sim", k, machine=MachineModel(byte_time_s=0.0))
+    run = engine.run(kappa_spmd_program, graphs[name], k, SEED, MINIMAL)
+    assert run.makespan == makespan
+    assert run.clocks == [makespan] * k

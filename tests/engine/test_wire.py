@@ -1,5 +1,7 @@
 """Round-trip tests for the pickle-free wire codec."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,65 @@ class TestErrors:
             decode(b"\x7f")
 
 
+def _q(n):
+    return struct.pack("<q", n)
+
+
+def _array_frame(dtype, shape, body):
+    """Hand-built ndarray frame: tag, dtype, ndim, dims, body."""
+    return (b"a" + _q(len(dtype)) + dtype + _q(len(shape))
+            + b"".join(_q(d) for d in shape) + _q(len(body)) + body)
+
+
+class TestMalformedFrames:
+    """Every malformed frame raises WireError — the process engine and
+    the checkpoint loader catch exactly that."""
+
+    def test_shape_disagrees_with_body(self):
+        with pytest.raises(WireError):
+            decode(_array_frame(b"<i8", (3,), bytes(16)))
+
+    def test_object_dtype(self):
+        with pytest.raises(WireError):
+            decode(_array_frame(b"|O", (1,), bytes(8)))
+
+    def test_unparseable_dtype(self):
+        with pytest.raises(WireError):
+            decode(_array_frame(b"<zz", (1,), bytes(8)))
+
+    def test_empty_numpy_scalar_body(self):
+        with pytest.raises(WireError):
+            decode(b"n" + _q(3) + b"<i8" + _q(0))
+
+    def test_negative_dimension(self):
+        with pytest.raises(WireError):
+            decode(_array_frame(b"<i8", (-1,), bytes(16)))
+
+    def test_negative_length(self):
+        with pytest.raises(WireError):
+            decode(b"l" + _q(-2))
+        with pytest.raises(WireError):
+            decode(b"s" + _q(-1) + b"x")
+
+    def test_invalid_utf8(self):
+        with pytest.raises(WireError):
+            decode(b"s" + _q(2) + b"\xff\xfe")
+
+    def test_unhashable_set_member_and_dict_key(self):
+        with pytest.raises(WireError):
+            decode(b"S" + _q(1) + encode([1]))
+        with pytest.raises(WireError):
+            decode(b"d" + _q(1) + encode([1]) + encode(2))
+
+    def test_deep_nesting(self):
+        with pytest.raises(WireError):
+            decode((b"l" + _q(1)) * 100_000 + encode(None))
+
+    def test_well_formed_arrays_still_decode(self):
+        assert decode(_array_frame(b"<i8", (2, 0), b"")).shape == (2, 0)
+        assert decode(_array_frame(b"<i4", (2,), bytes(8))).tolist() == [0, 0]
+
+
 json_like = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
     | st.text(max_size=20) | st.binary(max_size=20),
@@ -132,3 +193,36 @@ json_like = st.recursive(
 @settings(max_examples=120, deadline=None)
 def test_property_roundtrip(obj):
     assert roundtrip(obj) == obj
+
+
+payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=20) | st.binary(max_size=20)
+    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+    | st.builds(np.arange, st.integers(0, 6)),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.frozensets(st.integers() | st.text(max_size=5), max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def _decodes_or_wire_error(data):
+    try:
+        decode(data)
+    except WireError:
+        pass
+
+
+@given(payloads, st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_truncation_or_flip_raises_only_wire_error(obj, data):
+    """A truncated frame or one with a single byte flipped either decodes
+    or raises WireError — never any other exception."""
+    buf = encode(obj)
+    cut = data.draw(st.integers(0, len(buf) - 1), label="cut")
+    _decodes_or_wire_error(buf[:cut])
+    pos = data.draw(st.integers(0, len(buf) - 1), label="pos")
+    byte = data.draw(st.integers(0, 255), label="byte")
+    _decodes_or_wire_error(buf[:pos] + bytes([byte]) + buf[pos + 1:])
