@@ -16,21 +16,23 @@ Two entry points share all kernels:
   the fast quality-experiment path);
 * :func:`parallel_matching_spmd` — the same algorithm running as an SPMD
   program against the :class:`~repro.engine.base.Comm` protocol (so it
-  runs on any execution engine), exercising real message
-  passing.  Both produce identical matchings for identical seeds because
-  the locally-dominant matching is canonical under a global total order on
-  edges (score, then edge id).
+  runs on any execution engine): each PE matches its own part and the
+  PEs allgather the matched pairs as one ``(P, 2)`` int64 array, the
+  flat integer buffer an MPI code would send.
 
-Everything the SPMD version exchanges in bulk is a numpy ``int64`` array,
-the flat integer buffer an MPI code would send: each PE's matched pairs
-(a ``(P, 2)`` array), its per-round gap proposals (edge ids, one array
-per destination PE) and the dominant edge set.  The wire codec copies
-one buffer per array, and the sim engine charges its ``nbytes``.
+Both run the same gap phase.  After the allgather every PE holds the
+whole matching, and the locally-dominant matching is canonical under a
+global total order on edges (score, then edge id), so each PE computes
+the gap rounds itself instead of exchanging proposals; the sim engine's
+clock is still charged the rounds of the exchanged protocol (per round a
+``remaining`` allreduce, an alltoall of int64 edge-id proposals and an
+allreduce of the dominant set).  Both entry points produce identical
+matchings for identical seeds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +100,49 @@ def gap_edge_indices(
     return np.nonzero(cross & beats_u & beats_v)[0]
 
 
+
+
+def _dominant_rounds(
+    us: np.ndarray,
+    vs: np.ndarray,
+    scores: np.ndarray,
+    n: int,
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The Manne–Bisseling rounds, one tuple per round: the number of
+    alive edges, every endpoint of an alive edge with the best alive
+    edge there (the proposal that endpoint makes), and the dominant
+    edges — best at both endpoints — in ascending edge order."""
+    m = len(us)
+    # strict total order: higher score wins, ties by lower edge id
+    rank = np.lexsort((np.arange(m), -scores))
+    order_pos = np.empty(m, dtype=np.int64)
+    order_pos[rank] = np.arange(m)
+    alive = np.ones(m, dtype=bool)
+    taken = np.zeros(n, dtype=bool)
+    best_at = np.empty(n, dtype=np.int64)
+    while True:
+        idx = np.nonzero(alive)[0]
+        if len(idx) == 0:
+            return
+        # best alive edge per endpoint: the first of the endpoint's run
+        # when both endpoint lists are sorted by (endpoint, order)
+        ends = np.concatenate((us[idx], vs[idx]))
+        cand = np.concatenate((idx, idx))
+        srt = np.lexsort((order_pos[cand], ends))
+        ends, cand = ends[srt], cand[srt]
+        first = np.ones(len(ends), dtype=bool)
+        first[1:] = ends[1:] != ends[:-1]
+        ends, cand = ends[first], cand[first]
+        best_at[ends] = cand
+        dominant = idx[(best_at[us[idx]] == idx) & (best_at[vs[idx]] == idx)]
+        yield len(idx), ends, cand, dominant
+        if len(dominant) == 0:
+            return
+        taken[us[dominant]] = True
+        taken[vs[dominant]] = True
+        alive &= ~(taken[us] | taken[vs])
+
+
 def locally_dominant_matching(
     us: np.ndarray,
     vs: np.ndarray,
@@ -109,36 +154,12 @@ def locally_dominant_matching(
 
     The result is canonical (independent of processing order) because
     dominance is defined under the strict total order (score, −edge-id).
+    Pairs are listed round by round, in ascending edge order within a
+    round.
     """
-    alive = np.ones(len(us), dtype=bool)
-    taken = np.zeros(n, dtype=bool)
-    # strict total order: higher score wins, ties by lower edge id
-    rank = np.lexsort((np.arange(len(us)), -scores))
-    order_pos = np.empty(len(us), dtype=np.int64)
-    order_pos[rank] = np.arange(len(us))
     pairs: List[Tuple[int, int]] = []
-    while True:
-        idx = np.nonzero(alive)[0]
-        if len(idx) == 0:
-            break
-        # best remaining edge per endpoint
-        best: Dict[int, int] = {}
-        for i in idx:
-            for x in (int(us[i]), int(vs[i])):
-                j = best.get(x)
-                if j is None or order_pos[i] < order_pos[j]:
-                    best[x] = int(i)
-        dominant = [
-            i for i in idx
-            if best[int(us[i])] == i and best[int(vs[i])] == i
-        ]
-        if not dominant:
-            break
-        for i in dominant:
-            u, v = int(us[i]), int(vs[i])
-            pairs.append((u, v))
-            taken[u] = taken[v] = True
-        alive &= ~(taken[us] | taken[vs])
+    for _, _, _, dominant in _dominant_rounds(us, vs, scores, n):
+        pairs.extend(zip(us[dominant].tolist(), vs[dominant].tolist()))
     return pairs
 
 
@@ -154,6 +175,58 @@ def _matched_scores(
     return out
 
 
+def _modelled_rounds(
+    rounds: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+    owner: np.ndarray, gus: np.ndarray, gvs: np.ndarray, rank: int, p: int,
+) -> Iterator[Tuple[float, int, int]]:
+    """``(work, nbytes, factor)`` of PE ``rank``'s collectives in the
+    exchanged gap protocol: per round the ``remaining`` allreduce, the
+    alltoall of its endpoints' proposals (int64 edge ids, one array per
+    destination PE) and the allreduce of the dominant edges it touches;
+    then the final ``remaining`` allreduce."""
+    item = np.dtype(np.int64).itemsize
+    for n_alive, ends, cand, dominant in rounds:
+        yield 0.0, item, 1
+        mine = owner[ends] == rank
+        e = cand[mine]
+        other = np.where(gus[e] == ends[mine], gvs[e], gus[e])
+        per_dest = np.bincount(owner[other], minlength=p)
+        yield float(n_alive), item * int(per_dest.max()), 2
+        touched = ((owner[gus[dominant]] == rank)
+                   | (owner[gvs[dominant]] == rank))
+        yield 0.0, item * int(touched.sum()), 1
+    yield 0.0, item, 1
+
+
+def _gap_phase(
+    g: Graph, owner: np.ndarray, matching: np.ndarray, rating: str,
+    comm: Optional[Comm] = None,
+) -> None:
+    """Phase 2, in place on ``matching``: the locally-dominant matching
+    of the gap graph, each gap edge displacing the local partners of its
+    endpoints (round by round, ascending edge order, so the result is
+    canonical).  Its inputs are global, so every PE of an SPMD program
+    computes the same matching alone; pass the PE's ``comm`` to charge
+    the rounds the exchanged protocol would run to its cost clock."""
+    us, vs, _, scores = rate_edges(g, rating)
+    mscore = _matched_scores(g.n, matching, us, vs, scores)
+    gap = gap_edge_indices(owner, matching, us, vs, scores, mscore)
+    gap = _drop_fixed_endpoints(g, us, vs, gap)
+    gus, gvs = us[gap], vs[gap]
+    rounds = list(_dominant_rounds(gus, gvs, scores[gap], g.n))
+    for _, _, _, dominant in rounds:
+        for u, v in zip(gus[dominant].tolist(), gvs[dominant].tolist()):
+            for x in (u, v):  # free the local partners the edge displaces
+                old = int(matching[x])
+                if old != x:
+                    matching[old] = old
+            matching[u] = v
+            matching[v] = u
+    if comm is not None:
+        comm.model_collectives(lambda: _modelled_rounds(
+            rounds, owner, gus, gvs, comm.rank, comm.size))
+
+
 def parallel_matching(
     g: Graph,
     owner: np.ndarray,
@@ -165,7 +238,6 @@ def parallel_matching(
     """Sequential simulation of the two-phase parallel matching."""
     owner = np.asarray(owner, dtype=np.int64)
     matching = empty_matching(g.n)
-    us, vs, ws, scores = rate_edges(g, rating)
 
     # -- phase 1: local sequential matching per PE -----------------------
     for r in range(p):
@@ -174,16 +246,7 @@ def parallel_matching(
             g, np.nonzero(owner == r)[0], algorithm, rating, rng))
 
     # -- phase 2: locally-dominant matching on the gap graph -------------
-    mscore = _matched_scores(g.n, matching, us, vs, scores)
-    gap = gap_edge_indices(owner, matching, us, vs, scores, mscore)
-    gap = _drop_fixed_endpoints(g, us, vs, gap)
-    for u, v in locally_dominant_matching(us[gap], vs[gap], scores[gap], g.n):
-        for x in (u, v):  # free the local partners the gap edge displaces
-            old = int(matching[x])
-            if old != x:
-                matching[old] = old
-        matching[u] = v
-        matching[v] = u
+    _gap_phase(g, owner, matching, rating)
     return matching
 
 
@@ -195,75 +258,24 @@ def parallel_matching_spmd(
     rating: str = "expansion_star2",
     seed: int = 0,
 ) -> np.ndarray:
-    """SPMD version: PE ``comm.rank`` matches its own partition, then the
-    PEs cooperatively resolve the gap graph round by round.
+    """SPMD version: PE ``comm.rank`` matches its own partition and the
+    PEs allgather the matched pairs; then every PE runs the gap phase on
+    the now-global matching itself.
 
     Every PE returns the complete global matching (the coarsening driver
     needs it everywhere anyway, mirroring the allgather the C++ code
     performs before contraction).
     """
     owner = np.asarray(owner, dtype=np.int64)
-    rank = comm.rank
     rng = comm.derive_rng(seed)
 
     # -- phase 1: local matching, then exchange the matched pairs --------
-    my_nodes = np.nonzero(owner == rank)[0]
+    my_nodes = np.nonzero(owner == comm.rank)[0]
     my_pairs = _local_matching(g, my_nodes, algorithm, rating, rng)
     comm.compute(len(my_nodes))
     matching = empty_matching(g.n)
     _apply_pairs(matching, np.concatenate(comm.allgather(my_pairs)))
 
-    # -- phase 2: distributed locally-dominant rounds ---------------------
-    us, vs, ws, scores = rate_edges(g, rating)
-    mscore = _matched_scores(g.n, matching, us, vs, scores)
-    gap = gap_edge_indices(owner, matching, us, vs, scores, mscore)
-    gap = _drop_fixed_endpoints(g, us, vs, gap)
-    gus, gvs, gsc = us[gap], vs[gap], scores[gap]
-    order_rank = np.lexsort((np.arange(len(gap)), -gsc))
-    order_pos = np.empty(len(gap), dtype=np.int64)
-    order_pos[order_rank] = np.arange(len(gap))
-    alive = np.ones(len(gap), dtype=bool)
-    # gap edges cross PEs, so at most one endpoint of each is owned here
-    mine_u = owner[gus] == rank
-    touches_me = mine_u | (owner[gvs] == rank)
-    my_end = np.where(mine_u, gus, gvs)
-    partner_pe = owner[np.where(mine_u, gvs, gus)]
-
-    while True:
-        remaining = comm.allreduce(int(alive.sum()))
-        if remaining == 0:
-            break
-        # each PE proposes, for every owned endpoint, its best alive edge:
-        # the first of the endpoint's run when sorted by (endpoint, order)
-        edges = np.nonzero(alive & touches_me)[0]
-        edges = edges[np.lexsort((order_pos[edges], my_end[edges]))]
-        _, first = np.unique(my_end[edges], return_index=True)
-        my_proposed = edges[first]
-        # the partner endpoint's owner receives the proposal
-        dest = partner_pe[my_proposed]
-        proposals = [my_proposed[dest == d] for d in range(comm.size)]
-        comm.compute(int(alive.sum()))
-        incoming = comm.alltoall(proposals)
-
-        # an edge proposed from *both* sides is locally dominant: I
-        # proposed it for my endpoint and the partner PE proposed it too
-        newly = np.intersect1d(np.concatenate(incoming), my_proposed)
-        # every PE sees the same sorted dominant set after sharing
-        newly = comm.allreduce(newly, op=np.union1d)
-        if len(newly) == 0:
-            # no progress is impossible while edges remain alive; guard
-            # against it anyway to fail loudly rather than loop forever
-            raise RuntimeError("gap matching stalled")
-        # ascending edge order makes the displacements canonical
-        for u, v in zip(gus[newly].tolist(), gvs[newly].tolist()):
-            for x in (u, v):
-                old = int(matching[x])
-                if old != x:
-                    matching[old] = old
-            matching[u] = v
-            matching[v] = u
-        taken = np.zeros(g.n, dtype=bool)
-        taken[gus[newly]] = True
-        taken[gvs[newly]] = True
-        alive &= ~(taken[gus] | taken[gvs])
+    # -- phase 2: the gap rounds, replayed on every PE ---------------------
+    _gap_phase(g, owner, matching, rating, comm)
     return matching

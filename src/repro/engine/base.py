@@ -35,10 +35,12 @@ from typing import (
     Callable,
     ContextManager,
     Dict,
+    Iterable,
     List,
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -124,6 +126,10 @@ class Comm(Protocol):
     def timed(self, name: str) -> ContextManager[None]: ...
 
     def map_batch(self, tasks: Sequence[Callable[[], Any]]) -> List[Any]: ...
+
+    def model_collectives(
+        self, ops: Callable[[], Iterable[Tuple[float, int, int]]],
+    ) -> None: ...
 
     # -- point to point -------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None: ...
@@ -234,6 +240,17 @@ class CommBase:
     def compute(self, work_units: float) -> None:
         """Charge abstract compute.  Engines without a cost model treat
         this as a no-op; real time is measured, not modelled."""
+
+    def model_collectives(
+        self, ops: Callable[[], Iterable[Tuple[float, int, int]]],
+    ) -> None:
+        """Charge the cost of collectives the program replays locally
+        instead of exchanging (every PE holds the inputs, so it computes
+        the outcome itself).  ``ops()`` yields this PE's
+        ``(work, nbytes, factor)`` per modelled collective: ``compute(work)``
+        followed by a collective of an ``nbytes`` payload, ``factor`` 2
+        for an ``alltoall``.  Nothing is sent and no message or byte is
+        booked; engines without a cost model never call ``ops``."""
 
     @contextmanager
     def timed(self, name: str):

@@ -7,6 +7,9 @@ own operations: ``compute(w)`` adds ``compute_time(w)``; ``send`` stamps
 ``clock + message_time(nbytes)`` and ``recv`` syncs to that arrival;
 every collective syncs all clocks to the latest participant, then
 charges ``collective_time(p, nbytes)`` (twice for ``alltoall``).
+Collectives the program replays locally instead of exchanging reach the
+clock through ``model_collectives``, which syncs and charges the same
+way without sending anything.
 
 The clocks are thus a pure function of the program, so this *is* the
 token-passing :class:`~repro.engine.sequential.SequentialEngine` with
@@ -19,7 +22,8 @@ and deadlocks are detected structurally, with no receive timeout.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..parallel.costmodel import DEFAULT_MACHINE, MachineModel, payload_nbytes
 from .base import EngineResult
@@ -83,6 +87,16 @@ class SimulatedComm(SequentialComm):
     def _charge(self, nbytes: int, factor: int = 1) -> None:
         self.clock.advance(
             self.machine.collective_time(self.size, nbytes) * factor)
+
+    def model_collectives(
+        self, ops: Callable[[], Iterable[Tuple[float, int, int]]],
+    ) -> None:
+        """Advance the clock exactly as the exchanged collectives would:
+        a clock-only rendezvous (no payload, unrecorded) per op."""
+        for work, nbytes, factor in ops():
+            self.compute(work)
+            self._exchange(None)
+            self._charge(nbytes, factor)
 
     def barrier(self) -> None:
         super().barrier()

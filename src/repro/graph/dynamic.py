@@ -37,6 +37,7 @@ subcommand and the incremental benchmark consume.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,6 +69,25 @@ def _canon(u: int, v: int) -> Tuple[int, int]:
     if u == v:
         raise MutationError(f"self-loop ({u}, {v}) is not a valid edge")
     return (u, v) if u < v else (v, u)
+
+
+def _edge_weight(w: float) -> float:
+    """An edge weight as stored: finite and positive (``w <= 0`` alone
+    lets NaN through)."""
+    w = float(w)
+    if not (math.isfinite(w) and w > 0):
+        raise MutationError(f"edge weight must be positive and finite, "
+                            f"got {w}")
+    return w
+
+
+def _vertex_weight(w: float) -> float:
+    """A vertex weight as stored: finite and non-negative."""
+    w = float(w)
+    if not (math.isfinite(w) and w >= 0):
+        raise MutationError(f"vertex weight must be non-negative and "
+                            f"finite, got {w}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -264,12 +284,10 @@ class DynamicGraph:
         # phase 1: vertex additions / reactivations
         added_ids: List[int] = []
         for add in batch.add_vertices:
-            if add.weight < 0:
-                raise MutationError(
-                    f"vertex weight must be non-negative, got {add.weight}")
+            weight = _vertex_weight(add.weight)
             if add.vid is None or add.vid == self.n:
                 vid = self.n
-                self._vwgt.append(float(add.weight))
+                self._vwgt.append(weight)
                 self._active.append(True)
                 if self._vwgts_extra is not None:
                     dim = (len(self._vwgts_extra[0])
@@ -295,7 +313,7 @@ class DynamicGraph:
                     raise MutationError(f"add_vertex: vertex {vid} already "
                                         "exists")
                 self._active[vid] = True
-                self._vwgt[vid] = float(add.weight)
+                self._vwgt[vid] = weight
                 if self._coords is not None and add.coords is not None:
                     self._coords[vid] = tuple(add.coords)
             added_ids.append(vid)
@@ -303,14 +321,13 @@ class DynamicGraph:
 
         # phase 2: edge insertions
         for u, v, w in batch.insert_edges:
-            if w <= 0:
-                raise MutationError(f"edge weight must be positive, got {w}")
+            w = _edge_weight(w)
             key = _canon(u, v)
             self._check_vertex(key[0], "insert_edge")
             self._check_vertex(key[1], "insert_edge")
             if key in self._edges:
                 raise MutationError(f"insert_edge: edge {key} already exists")
-            self._edges[key] = float(w)
+            self._edges[key] = w
             dirty.update(key)
 
         # phase 3: edge deletions
@@ -323,21 +340,18 @@ class DynamicGraph:
 
         # phase 4: edge re-weights
         for u, v, w in batch.edge_weights:
-            if w <= 0:
-                raise MutationError(f"edge weight must be positive, got {w}")
+            w = _edge_weight(w)
             key = _canon(u, v)
             if key not in self._edges:
                 raise MutationError(f"edge_weight: no edge {key}")
-            self._edges[key] = float(w)
+            self._edges[key] = w
             dirty.update(key)
 
         # phase 5: vertex re-weights
         for v, w in batch.vertex_weights:
-            if w < 0:
-                raise MutationError(
-                    f"vertex weight must be non-negative, got {w}")
+            w = _vertex_weight(w)
             v = self._check_vertex(v, "vertex_weight")
-            self._vwgt[v] = float(w)
+            self._vwgt[v] = w
             dirty.add(v)
 
         # phase 6: vertex removals (drop incident edges, tombstone)

@@ -17,16 +17,23 @@ Both the distributed version (an SPMD kernel against the engine-agnostic
 :class:`~repro.engine.base.Comm` protocol, runnable on any execution
 engine) and a sequential reference implementation are provided; they
 satisfy the same ≤ 2·Δ − 1 color bound.
+
+Every PE of the KaPPa program holds the partition and hence Q, and the
+kernel draws its coins from per-node streams, so the refinement driver
+does not exchange the rounds: :func:`distributed_edge_coloring` replays
+the kernel for all nodes on each PE and charges the rounds the exchange
+would have taken to the sim engine's cost clock only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.base import Comm
+from ..engine.base import Comm, CommBase
 from ..graph.csr import Graph
+from .costmodel import payload_nbytes
 
 __all__ = [
     "greedy_edge_coloring",
@@ -140,26 +147,71 @@ def distributed_edge_coloring_spmd(comm: Comm, q: Graph, seed: int = 0,
     return colors
 
 
+class _ReplayComm(CommBase):
+    """One-PE stand-in that plays every quotient node of the kernel and
+    keeps what each alltoall carried — per round the requests, then the
+    grants, each in the kernel's processing order."""
+
+    rank = 0
+    size = 1
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sent: List[list] = []
+
+    def _exchange(self, value: Any) -> List[Any]:
+        return [value]
+
+    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
+        self.sent.append(objs[0])
+        return list(objs)
+
+
+def _modelled_rounds(sent: List[list], q: Graph, rank: int,
+                     p: int) -> Iterator[Tuple[float, int, int]]:
+    """``(work, nbytes, factor)`` of PE ``rank``'s collectives in the
+    exchanged kernel on ``p`` PEs: per round the ``remaining`` allreduce,
+    the request alltoall and, after the round's compute, the grant
+    alltoall; then the final ``remaining`` allreduce.  Payloads are the
+    kernel's own per-destination lists, regrouped by owner."""
+    work = float(q.degrees()[rank::p].sum())
+    for requests, grants in zip(sent[0::2], sent[1::2]):
+        yield 0.0, payload_nbytes(0), 1
+        out: List[list] = [[] for _ in range(p)]
+        for req in requests:
+            if req[0] % p == rank:
+                out[req[1] % p].append(req)
+        yield 0.0, max(payload_nbytes(o) for o in out), 2
+        back: List[list] = [[] for _ in range(p)]
+        for grant in grants:
+            u_req, e, _ = grant
+            v = e[0] if e[1] == u_req else e[1]
+            if v % p == rank:
+                back[u_req % p].append(grant)
+        yield work, max(payload_nbytes(o) for o in back), 2
+    yield 0.0, payload_nbytes(0), 1
+
+
 def distributed_edge_coloring(q: Graph, seed: int = 0,
-                              engine: str = "sim") -> Dict[Edge, int]:
-    """Run the distributed coloring with one PE per quotient-graph node
-    on the named execution engine and merge the per-PE views."""
+                              comm: Optional[Comm] = None) -> Dict[Edge, int]:
+    """The full coloring of ``q``: the SPMD kernel replayed for every
+    quotient node on a one-PE stand-in.
+
+    Randomness comes from per-node streams, so this equals the union of
+    the per-PE results of :func:`distributed_edge_coloring_spmd` for any
+    PE count, and every PE of an SPMD program that holds ``q`` computes
+    it alone, with no message.  Pass the caller's ``comm`` to charge the
+    rounds the exchanged protocol would run to its cost clock
+    (:meth:`~repro.engine.base.CommBase.model_collectives`; a no-op on
+    engines without one)."""
     if q.n == 0:
         return {}
-    # deferred import: the engine package imports this package's
-    # cost-model module, so binding it at call time keeps repro.parallel
-    # importable on its own
-    from ..engine import get_engine
-
-    eng = get_engine(engine, q.n)
-    res = eng.run(distributed_edge_coloring_spmd, q, seed)
-    merged: Dict[Edge, int] = {}
-    for local in res.results:
-        for e, c in local.items():
-            if e in merged and merged[e] != c:
-                raise AssertionError(f"PEs disagree on color of {e}")
-            merged[e] = c
-    return merged
+    stand_in = _ReplayComm()
+    colors = distributed_edge_coloring_spmd(stand_in, q, seed)
+    if comm is not None:
+        comm.model_collectives(lambda: _modelled_rounds(
+            stand_in.sent, q, comm.rank, comm.size))
+    return colors
 
 
 def coloring_to_matchings(colors: Dict[Edge, int]) -> List[List[Edge]]:

@@ -13,13 +13,16 @@ improvement was found (in strong variants: when no improvement was found
 twice in a row) or when a preset maximum number of iterations is
 exceeded."
 
-Two drivers share the :func:`refine_pair` kernel:
+Two drivers share the pair search and adoption kernels:
 
-* :func:`pairwise_refinement` — deterministic sequential execution;
+* :func:`pairwise_refinement` — deterministic sequential execution,
+  one :func:`refine_pair` (both seeded searches, then adoption) per pair;
 * :func:`pairwise_refinement_spmd` — the same algorithm as an SPMD
   program against the :class:`~repro.engine.base.Comm` protocol (one
   block per PE, or several when k > P; runs on any execution engine),
-  with real band exchange between partners.
+  with real band exchange between partners.  Each owner of a pair runs
+  only its own block's seeded search; the two trade their results and
+  adopt the same better one.
 
 With the distributed coloring selected on the sequential side, both
 drivers produce identical partitions for identical seeds, for any PE
@@ -29,11 +32,11 @@ Both drivers run one color class in the same shape.  The pairs of a
 color are block-disjoint, so their refinements cannot interact: each
 local iteration extracts the bands of all live pairs with one
 :func:`~repro.refinement.band.extract_bands` call, refines every pair on
-its band (``refine_pair(..., band=band)``), and drops the pairs that did
-not change.  Block sizes come from one ``bincount`` per color, and gains
-and moves are booked in pair-major order, so the sums and tracer
-counters equal those of refining each pair to completion in turn.  The
-SPMD driver sends each partner exactly the band it refines.  Under the
+its band, and drops the pairs that did not change.  Block sizes come
+from one ``bincount`` per color, and gains and moves are booked in
+pair-major order, so the sums and tracer counters equal those of
+refining each pair to completion in turn.  The SPMD driver sends each
+partner exactly the band it refines.  Under the
 mapping objective a pair's gain bias reads its third-block neighbours,
 whose blocks other pairs of the color change, so the sequential driver
 then takes the pairs of a color one at a time.
@@ -51,7 +54,8 @@ from ..graph.csr import Graph
 from ..graph.quotient import quotient_graph
 from ..core import metrics
 from ..instrument.tracer import NULL_TRACER
-from ..parallel.coloring import distributed_edge_coloring_spmd
+from ..parallel.coloring import (coloring_to_matchings,
+                                 distributed_edge_coloring)
 from .band import Band, extract_bands
 from .fm import FMSearch
 
@@ -73,7 +77,7 @@ class PairResult:
     changed: List[Tuple[int, int]]  # (node, new block)
     band_nodes: int
     boundary: int
-    moves_tried: int = 0   # FM moves attempted across both seeded runs
+    moves_tried: int = 0   # FM moves attempted by the seeded runs made here
     moves_applied: int = 0  # node moves surviving adoption (== len(changed))
 
 
@@ -144,6 +148,21 @@ def _constraint_setup(
     return lmax0, aux_block_w, aux_lmax
 
 
+#: a search candidate: its ``(imbalance after, −gain)`` key and the
+#: band's 0/1 side vector it proposes
+Candidate = Tuple[Tuple[float, float], np.ndarray]
+
+
+@dataclass
+class _PairSearch:
+    """The candidates of one pair's local searches, before adoption."""
+
+    fm: List[Candidate]     # one per seeded FM run, in seed order
+    flow: List[Candidate]   # the flow candidate, when one was computed
+    before_imb: float
+    moves_tried: int
+
+
 def refine_pair(
     g: Graph,
     part: np.ndarray,
@@ -185,12 +204,41 @@ def refine_pair(
     (``(k, c-1)``) and ``aux_lmax`` (``(c-1,)``) enforce the extra
     balance-constraint dimensions of a multi-constraint graph.
     """
-    if algorithm not in ("fm", "flow", "fm_flow"):
-        raise ValueError(f"unknown pair refinement algorithm {algorithm!r}")
     if band is None:
         band = extract_bands(g, part, [(a, b)], depth, within=within)[0]
+    search = _search_pair(
+        g, part, block_w, a, b, lmax, alpha, queue_selection,
+        (seed_a, seed_b), block_sizes, algorithm, band,
+        dist=dist, aux_block_w=aux_block_w, aux_lmax=aux_lmax)
+    return _adopt(g, part, block_w, a, b, band, search, aux_block_w)
+
+
+def _search_pair(
+    g: Graph,
+    part: np.ndarray,
+    block_w: np.ndarray,
+    a: int,
+    b: int,
+    lmax: float,
+    alpha: float,
+    queue_selection: str,
+    seeds: Sequence[int],
+    block_sizes: Tuple[int, int],
+    algorithm: str,
+    band: Band,
+    dist: Optional[np.ndarray] = None,
+    aux_block_w: Optional[np.ndarray] = None,
+    aux_lmax: Optional[np.ndarray] = None,
+) -> Optional[_PairSearch]:
+    """Run the pair's local searches on ``band`` without changing
+    anything: one FM run per seed in ``seeds`` plus, for the flow
+    algorithms, the flow candidate.  ``None`` when the band offers no
+    move.  Reads ``part`` and ``block_w`` only, so the searches of the
+    pairs of one color class may run concurrently."""
+    if algorithm not in ("fm", "flow", "fm_flow"):
+        raise ValueError(f"unknown pair refinement algorithm {algorithm!r}")
     if band.graph.n == 0 or band.graph.m == 0 or not band.movable.any():
-        return PairResult(0.0, 0.0, [], 0, band.n_boundary)
+        return None
 
     wa, wb = float(block_w[a]), float(block_w[b])
     have_aux = aux_block_w is not None and g.n_constraints > 1
@@ -217,22 +265,20 @@ def refine_pair(
                       float(np.max(aw1 - alim, initial=0.0)))
         return imb
 
-    before_imb = pair_imbalance(wa, wb)
-
     scale = None
     bias = None
     if dist is not None:
         scale = float(dist[a, b])
         bias = _mapping_bias(g, part, band, a, b, dist)
 
-    candidates = []
-    moves_tried = 0
+    out = _PairSearch(fm=[], flow=[], before_imb=pair_imbalance(wa, wb),
+                      moves_tried=0)
     if algorithm in ("fm", "fm_flow"):
-        # both seeded runs share one list-native view of the band
+        # the seeded runs share one list-native view of the band
         search = FMSearch(band.graph, band.side, movable=band.movable,
                           edge_scale=scale, gain_bias=bias,
                           aux_weights=aux if have_aux else None)
-        for seed in (seed_a, seed_b):
+        for seed in seeds:
             res = search.run(
                 np.random.default_rng(seed),
                 weight_a=wa,
@@ -247,8 +293,8 @@ def refine_pair(
                 aux_lmax_b=alim if have_aux else None,
             )
             after_imb = pair_imbalance(res.weight_a, res.weight_b, res.side)
-            moves_tried += res.moves_tried
-            candidates.append(((after_imb, -res.gain), res.side))
+            out.moves_tried += res.moves_tried
+            out.fm.append(((after_imb, -res.gain), res.side))
     if algorithm in ("flow", "fm_flow") and dist is None:
         from .flow import flow_cut_for_band
         from .gain import cut_between_sides
@@ -263,15 +309,38 @@ def refine_pair(
             fwa = wa - float(delta[to_b].sum()) + float(delta[~to_b].sum())
             fwb = wb + float(delta[to_b].sum()) - float(delta[~to_b].sum())
             after_imb = pair_imbalance(fwa, fwb, flow_side)
-            candidates.append(((after_imb, value - cut_before), flow_side))
-    if not candidates:
-        return PairResult(0.0, 0.0, [], band.graph.n, band.n_boundary,
-                          moves_tried=moves_tried)
-    key, winner_side = min(candidates, key=lambda kr: tuple(kr[0]))
-    if key >= (before_imb, 0.0):
-        return PairResult(0.0, 0.0, [], band.graph.n, band.n_boundary,
-                          moves_tried=moves_tried)
+            out.flow.append(((after_imb, value - cut_before), flow_side))
+    return out
 
+
+def _adopt(
+    g: Graph,
+    part: np.ndarray,
+    block_w: np.ndarray,
+    a: int,
+    b: int,
+    band: Band,
+    search: Optional[_PairSearch],
+    aux_block_w: Optional[np.ndarray] = None,
+    fm: Optional[List[Candidate]] = None,
+) -> PairResult:
+    """Adopt the best of the pair's candidates — the seeded FM runs in
+    seed order, then the flow candidate — if it beats the current state,
+    updating ``part``, ``block_w`` and ``aux_block_w`` in place.  Ties
+    go to the earlier candidate.  ``fm`` replaces ``search.fm`` when the
+    seeded runs were split between PEs."""
+    if search is None:
+        return PairResult(0.0, 0.0, [], 0, band.n_boundary)
+    candidates = (search.fm if fm is None else fm) + search.flow
+    unchanged = PairResult(0.0, 0.0, [], band.graph.n, band.n_boundary,
+                           moves_tried=search.moves_tried)
+    if not candidates:
+        return unchanged
+    key, winner_side = min(candidates, key=lambda kr: tuple(kr[0]))
+    if key >= (search.before_imb, 0.0):
+        return unchanged
+
+    have_aux = aux_block_w is not None and g.n_constraints > 1
     changed: List[Tuple[int, int]] = []
     flipped = np.nonzero(band.movable & (winner_side != band.side))[0]
     for i in flipped:
@@ -286,11 +355,11 @@ def refine_pair(
         part[v] = new_block
     return PairResult(
         gain=-key[1],
-        imbalance_delta=key[0] - before_imb,
+        imbalance_delta=key[0] - search.before_imb,
         changed=changed,
         band_nodes=band.graph.n,
         boundary=band.n_boundary,
-        moves_tried=moves_tried,
+        moves_tried=search.moves_tried,
         moves_applied=len(changed),
     )
 
@@ -326,8 +395,8 @@ def pairwise_refinement(
     ``matching_selection`` picks the Section 5.1 strategy:
     ``"edge_coloring"`` (the adopted default) or ``"random_local"``.
     For the coloring strategy, ``coloring="greedy"`` uses the fast
-    sequential coloring while ``coloring="distributed"`` runs the
-    distributed algorithm (on a simulated cluster), which makes this
+    sequential coloring while ``coloring="distributed"`` replays the
+    distributed algorithm for every quotient node, which makes this
     driver bit-identical to :func:`pairwise_refinement_spmd` for the same
     seed.  ``tracer`` accumulates refinement counters (pairs refined, FM
     moves attempted/accepted, total gain, iteration counts).
@@ -422,6 +491,36 @@ def pairwise_refinement(
     return part
 
 
+def _swap_fm_candidates(
+    comm: Comm, live: List[dict], bands: List[Band],
+    searches: List[Optional[_PairSearch]], tag: int,
+) -> Dict[int, Candidate]:
+    """Trade the FM candidates of the pairs shared with other PEs: one
+    ``sendrecv`` per partner PE, ascending, carrying the pairs' keys as
+    an ``(n, 2)`` float64 array and their side vectors concatenated as
+    one int8 array.  Both owners extract the same band, so the receiver
+    splits the sides by band size.  Returns the partner's candidate per
+    index into ``live``."""
+    by_partner: Dict[int, List[int]] = {}
+    for i, p_ in enumerate(live):
+        if p_["partner"] != comm.rank and searches[i] is not None \
+                and searches[i].fm:
+            by_partner.setdefault(p_["partner"], []).append(i)
+    theirs: Dict[int, Candidate] = {}
+    for partner in sorted(by_partner):
+        idx = by_partner[partner]
+        keys = np.array([searches[i].fm[0][0] for i in idx],
+                        dtype=np.float64)
+        sides = np.concatenate([searches[i].fm[0][1] for i in idx])
+        their_keys, their_sides = comm.sendrecv((keys, sides), partner,
+                                                tag=tag)
+        ends = np.cumsum([bands[i].graph.n for i in idx])
+        for i, key, side in zip(idx, their_keys.tolist(),
+                                np.split(their_sides, ends[:-1])):
+            theirs[i] = (tuple(key), side)
+    return theirs
+
+
 def pairwise_refinement_spmd(
     comm: Comm,
     g: Graph,
@@ -444,15 +543,20 @@ def pairwise_refinement_spmd(
     paper's setting; several per PE for the k > P generalisation of
     Section 8).
 
-    Per color class, the owners of a matched block pair exchange their
-    boundary bands (charged to the simulated clock), both run FM with the
-    pair's two seeds, and the better result is adopted — the paper's
-    protocol.  After each color, the node moves are shared so every PE
-    holds a consistent partition.  Within a color the per-pair FM calls
-    are submitted through ``comm.map_batch`` — sequential (and therefore
-    order-identical) on most engines, a work-stealing batch on the
-    threads engine; the pairs of one color move disjoint node sets, so
-    stealing cannot change a single label.  Returns the refined partition
+    Every PE holds the partition and hence Q, so each replays the
+    distributed coloring of Q itself (no exchange; the sim engine's
+    clock is still charged its rounds).  Per color class, the owners of
+    a matched block pair exchange their boundary bands (charged to the
+    simulated clock); the owner of block ``a`` runs FM with the pair's
+    first seed and the owner of ``b`` with the second, the two trade
+    their results, and both adopt the better one — the paper's protocol.
+    A PE that owns both blocks runs both seeds.  After each color, the
+    node moves are shared so every PE holds a consistent partition.
+    Within a color the per-pair searches are submitted through
+    ``comm.map_batch`` — sequential (and therefore order-identical) on
+    most engines, a work-stealing batch on the threads engine; the
+    searches only read the partition and never communicate, so stealing
+    cannot change a single label.  Returns the refined partition
     (identical on every PE, and identical to :func:`pairwise_refinement`
     with ``coloring="distributed"`` for the same seed, for *any* PE
     count).
@@ -475,33 +579,32 @@ def pairwise_refinement_spmd(
         q = quotient_graph(g, part, k)
         if q.m == 0:
             break
-        my_colors = distributed_edge_coloring_spmd(comm, q, seed=seed + git)
-        # PEs need the global color count to iterate the same classes
-        n_colors = comm.allreduce(
-            max(my_colors.values()) + 1 if my_colors else 0, op=max
-        )
-        total_gain = 0.0
+        colors = distributed_edge_coloring(q, seed=seed + git, comm=comm)
         total_moved = 0
-        for color in range(n_colors):
+        for matching in coloring_to_matchings(colors):
             # pairs of this color with an endpoint block owned here,
             # processed in ascending order on every involved PE (buffered
             # sends make the interleaved exchanges deadlock-free).  The
             # pairs of one color form a matching on the quotient graph,
             # so their refinements touch disjoint blocks and commute
             # bit-exactly — which lets each local iteration extract all
-            # live bands in one call, run the band exchanges pair by pair
-            # and then hand the refine_pair calls to ``comm.map_batch`` as
-            # one stealable batch (idle PEs of the threads engine pick
-            # pairs off the far end).
-            mine = sorted(e for e, c in my_colors.items() if c == color)
+            # live bands in one call, run the band exchanges pair by
+            # pair, hand the searches to ``comm.map_batch`` as one
+            # stealable batch (idle PEs of the threads engine pick pairs
+            # off the far end), and trade the results per partner.
             updates: List[Tuple[int, int]] = []
             sizes = np.bincount(part, minlength=k)
             pairs = []
-            for a, b in mine:
+            for a, b in matching:
+                if comm.rank not in (owner(a), owner(b)):
+                    continue
                 pairs.append({
                     "edge": (a, b),
                     "partner": (owner(b) if owner(a) == comm.rank
                                 else owner(a)),
+                    # the seeds this PE runs: 0 for block a, 1 for b
+                    "whos": tuple(who for who, blk in enumerate((a, b))
+                                  if owner(blk) == comm.rank),
                     "sizes": (int(sizes[a]), int(sizes[b])),
                     "log": [],       # PairResult per executed local iter
                     "live": True,
@@ -523,40 +626,42 @@ def pairwise_refinement_spmd(
                         comm.sendrecv(payload, p_["partner"], tag=100 + lit)
                     comm.compute(band.graph.m)
 
-                # both owners perform both seeded searches on the band
-                # they exchanged and adopt the same better result
-                # (deterministic agreement)
-                def refine_task(p_, band, lit=lit):
+                def search_task(p_, band, lit=lit):
                     a, b = p_["edge"]
-                    return refine_pair(
-                        g, part, block_w, a, b, lmax, bfs_depth, alpha,
+                    return _search_pair(
+                        g, part, block_w, a, b, lmax, alpha,
                         queue_selection,
-                        _pair_seed(seed, git, lit, a, b, 0),
-                        _pair_seed(seed, git, lit, a, b, 1),
-                        p_["sizes"],
-                        algorithm=pair_algorithm,
+                        [_pair_seed(seed, git, lit, a, b, who)
+                         for who in p_["whos"]],
+                        p_["sizes"], pair_algorithm, band,
                         dist=dist,
                         aux_block_w=aux_block_w,
                         aux_lmax=aux_lmax,
-                        band=band,
                     )
 
-                prs = comm.map_batch(
-                    [lambda p_=p_, band=band: refine_task(p_, band)
+                searches = comm.map_batch(
+                    [lambda p_=p_, band=band: search_task(p_, band)
                      for p_, band in zip(live, bands)])
-                for p_, pr in zip(live, prs):
+                theirs = _swap_fm_candidates(comm, live, bands, searches,
+                                             tag=200 + lit)
+                for i, (p_, band, search) in enumerate(
+                        zip(live, bands, searches)):
+                    fm = None
+                    if i in theirs:  # candidates in seed order: a, then b
+                        fm = (search.fm + [theirs[i]] if p_["whos"] == (0,)
+                              else [theirs[i]] + search.fm)
+                    pr = _adopt(g, part, block_w, *p_["edge"], band, search,
+                                aux_block_w, fm)
                     p_["log"].append(pr)
                     if not pr.changed:
                         p_["live"] = False
-            # book gains and moves in pair-major order — the exact
-            # accumulation order of the unbatched loop, so sums and the
-            # allgather payload below stay bit-identical
+            # book moves in pair-major order — the exact accumulation
+            # order of the unbatched loop, so the allgather payload below
+            # stays bit-identical
             for p_ in pairs:
-                a, b = p_["edge"]
-                if comm.rank == owner(a):  # count each pair once
+                if comm.rank == owner(p_["edge"][0]):  # each pair once
                     for pr in p_["log"]:
                         updates.extend(pr.changed)
-                        total_gain += pr.gain
             # share moves of this color class with all PEs as (node,
             # block) rows; applied in list order, one move at a time, so
             # the float block-weight sums stay bit-exact (a node may move
@@ -575,9 +680,10 @@ def pairwise_refinement_spmd(
             total_moved += sum(len(moves) for moves in all_updates)
         if stop_rule == "always":
             break
-        round_gain = comm.allreduce(total_gain)
-        round_moved = comm.allreduce(total_moved)
-        if round_gain <= 1e-12 and round_moved == 0:
+        # total_moved counts every PE's moves, so it is global; a pair
+        # that moves nothing reports zero gain, so no move also means no
+        # improvement (the sequential driver's two-part test)
+        if total_moved == 0:
             no_change_streak += 1
             needed = 2 if stop_rule == "twice_no_change" else 1
             if no_change_streak >= needed:

@@ -35,8 +35,8 @@ def coloring_rounds(q: Graph, seed: int = 0,
     """The default schedule: the color classes of an edge coloring.
 
     ``coloring="greedy"`` uses the fast sequential coloring;
-    ``coloring="distributed"`` runs the distributed algorithm on a
-    simulated cluster (bit-identical to the SPMD refinement driver).
+    ``coloring="distributed"`` replays the distributed algorithm for
+    every quotient node (bit-identical to the SPMD refinement driver).
     """
     if coloring == "distributed":
         from ..parallel.coloring import distributed_edge_coloring

@@ -123,3 +123,75 @@ class TestParallelMatching:
         res = get_engine("sim", p).run(parallel_matching_spmd, g, owner,
                                        seed=seed)
         assert np.array_equal(res.results[0], m_seq)
+
+
+def _exchanged_matching(comm, g, owner, algorithm="gpa",
+                        rating="expansion_star2", seed=0):
+    """Reference: the gap phase as a message protocol (a ``remaining``
+    allreduce, a proposal alltoall and a dominant-set allreduce per
+    round), the shape the replayed gap phase charges to the sim clock."""
+    from repro.coarsening.matching.base import empty_matching
+    from repro.coarsening.matching.parallel import (
+        _apply_pairs, _drop_fixed_endpoints, _local_matching,
+        _matched_scores, gap_edge_indices)
+    from repro.coarsening.ratings import rate_edges
+
+    owner = np.asarray(owner, dtype=np.int64)
+    rank = comm.rank
+    my_nodes = np.nonzero(owner == rank)[0]
+    my_pairs = _local_matching(g, my_nodes, algorithm, rating,
+                               comm.derive_rng(seed))
+    comm.compute(len(my_nodes))
+    matching = empty_matching(g.n)
+    _apply_pairs(matching, np.concatenate(comm.allgather(my_pairs)))
+    us, vs, _, scores = rate_edges(g, rating)
+    mscore = _matched_scores(g.n, matching, us, vs, scores)
+    gap = gap_edge_indices(owner, matching, us, vs, scores, mscore)
+    gap = _drop_fixed_endpoints(g, us, vs, gap)
+    gus, gvs, gsc = us[gap], vs[gap], scores[gap]
+    order_pos = np.empty(len(gap), dtype=np.int64)
+    order_pos[np.lexsort((np.arange(len(gap)), -gsc))] = np.arange(len(gap))
+    alive = np.ones(len(gap), dtype=bool)
+    mine_u = owner[gus] == rank
+    touches_me = mine_u | (owner[gvs] == rank)
+    my_end = np.where(mine_u, gus, gvs)
+    partner_pe = owner[np.where(mine_u, gvs, gus)]
+    while comm.allreduce(int(alive.sum())) > 0:
+        edges = np.nonzero(alive & touches_me)[0]
+        edges = edges[np.lexsort((order_pos[edges], my_end[edges]))]
+        _, first = np.unique(my_end[edges], return_index=True)
+        my_proposed = edges[first]
+        dest = partner_pe[my_proposed]
+        comm.compute(int(alive.sum()))
+        incoming = comm.alltoall(
+            [my_proposed[dest == d] for d in range(comm.size)])
+        newly = np.intersect1d(np.concatenate(incoming), my_proposed)
+        newly = comm.allreduce(newly, op=np.union1d)
+        for u, v in zip(gus[newly].tolist(), gvs[newly].tolist()):
+            for x in (u, v):
+                if matching[x] != x:
+                    matching[matching[x]] = matching[x]
+            matching[u] = v
+            matching[v] = u
+        taken = np.zeros(g.n, dtype=bool)
+        taken[gus[newly]] = True
+        taken[gvs[newly]] = True
+        alive &= ~(taken[gus] | taken[gvs])
+    return matching
+
+
+class TestReplayedGapPhase:
+    """Every PE computes the gap phase alone; on the sim engine it still
+    charges the rounds of the exchanged protocol."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_same_matching_and_clocks_as_exchanged(self, p):
+        g = random_geometric_graph(300, seed=p)
+        # a scattered owner map leaves a gap graph of several rounds
+        owner = np.random.default_rng(p).integers(0, p, g.n)
+        rep = get_engine("sim", p).run(parallel_matching_spmd, g, owner,
+                                       seed=3)
+        exc = get_engine("sim", p).run(_exchanged_matching, g, owner, seed=3)
+        for a, b in zip(rep.results, exc.results):
+            assert np.array_equal(a, b)
+        assert rep.clocks == exc.clocks

@@ -264,6 +264,23 @@ class TestStrictSemantics:
         with pytest.raises(MutationError, match="non-negative"):
             dyn.apply(MutationBatch(add_vertices=[VertexAdd(weight=-2.0)]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_weights_rejected(self, dyn, bad):
+        # NaN compares False against every bound, so a plain sign check
+        # let it (and +inf) into the graph
+        before = dyn.graph()
+        for batch in (MutationBatch(insert_edges=[(0, 2, bad)]),
+                      MutationBatch(edge_weights=[(0, 1, bad)]),
+                      MutationBatch(vertex_weights=[(0, bad)]),
+                      MutationBatch(add_vertices=[VertexAdd(weight=bad)])):
+            with pytest.raises(MutationError, match="finite"):
+                dyn.apply(batch)
+        after = dyn.graph()
+        assert after.n == before.n and after.m == before.m
+        assert np.array_equal(after.adjwgt, before.adjwgt)
+        assert np.array_equal(after.vwgt, before.vwgt)
+
     def test_ops_on_removed_vertex_rejected(self, dyn):
         dyn.apply(MutationBatch(remove_vertices=[1]))
         with pytest.raises(MutationError, match="removed"):

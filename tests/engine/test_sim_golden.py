@@ -27,15 +27,15 @@ GRAPHS = {
 
 #: (graph, k) -> (sim_time_s, per-PE clocks, cut)
 GOLDEN = {
-    ("rgg600", 2): (0.00045749038461538393,
-                    [0.00045749038461538393] * 2, 5.0),
-    ("rgg600", 4): (0.0010429857692307682,
-                    [0.0010429857692307682] * 4, 33.0),
-    ("delaunay600", 2): (0.00048466999999999955,
-                         [0.00048466999999999955,
-                          0.00048464538461538416], 92.0),
-    ("delaunay600", 4): (0.0009389411538461524,
-                         [0.0009389411538461524] * 4, 230.0),
+    ("rgg600", 2): (0.00046982730769230694,
+                    [0.00046982730769230694] * 2, 5.0),
+    ("rgg600", 4): (0.0010756196153846145,
+                    [0.0010756196153846145] * 4, 33.0),
+    ("delaunay600", 2): (0.000495340769230769,
+                         [0.000495340769230769,
+                          0.0004953161538461536], 92.0),
+    ("delaunay600", 4): (0.0009720396153846142,
+                         [0.0009720396153846142] * 4, 230.0),
 }
 
 #: (graph, k) -> makespan with ``byte_time_s=0``: only latencies and
@@ -43,10 +43,10 @@ GOLDEN = {
 #: and the compute calls independently of payload sizes (every PE's
 #: clock equals the makespan on these rows)
 GOLDEN_BYTE_FREE = {
-    ("rgg600", 2): 0.0004366749999999988,
-    ("rgg600", 4): 0.0010016749999999985,
-    ("delaunay600", 2): 0.00042604999999999916,
-    ("delaunay600", 4): 0.0008523749999999985,
+    ("rgg600", 2): 0.00044867499999999875,
+    ("rgg600", 4): 0.0010336749999999997,
+    ("delaunay600", 2): 0.00043604999999999913,
+    ("delaunay600", 4): 0.0008843749999999991,
 }
 
 

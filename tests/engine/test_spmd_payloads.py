@@ -65,8 +65,8 @@ def test_bulk_ids_travel_as_arrays(graph, k):
         spied_program, log, graph, k, 1, FAST)
     parts = [r[0] for r in run.results]
     assert all(np.array_equal(parts[0], p) for p in parts[1:])
-    assert {op for op, _ in log} >= {"send", "allgather", "allreduce",
-                                     "alltoall"}
+    # the coloring and gap rounds are replayed locally: no alltoall
+    assert {op for op, _ in log} >= {"send", "allgather", "allreduce"}
     worst = max(log, key=lambda rec: rec[1])
     assert worst[1] <= MAX_CONTAINER_LEN, (
         f"a payload of {worst[0]} carries a Python container of "

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import get_engine
 from repro.graph import complete_graph, cycle_graph, grid2d_graph, path_graph, star_graph
 from repro.parallel import (
     coloring_to_matchings,
     distributed_edge_coloring,
+    distributed_edge_coloring_spmd,
     greedy_edge_coloring,
     verify_edge_coloring,
 )
@@ -104,14 +106,37 @@ class TestDistributedColoringProperties:
 
     @given(q=random_graphs(max_n=10), seed=st.integers(0, 1_000))
     @settings(max_examples=10, deadline=None)
-    def test_engine_independent(self, q, seed):
-        """The coloring is a pure function of (graph, seed), whatever
-        engine runs the SPMD kernel."""
-        by_engine = [
-            distributed_edge_coloring(q, seed=seed, engine=engine)
-            for engine in ("sim", "sequential")
-        ]
-        assert by_engine[0] == by_engine[1]
+    def test_replay_equals_kernel(self, q, seed):
+        """The local replay is the union of the exchanged kernel's per-PE
+        colorings, whatever the engine and the PE count."""
+        replay = distributed_edge_coloring(q, seed=seed)
+        for p in sorted({1, 2, q.n} & set(range(1, q.n + 1))):
+            for engine in ("sim", "sequential"):
+                merged = {}
+                for local in get_engine(engine, p).run(
+                        distributed_edge_coloring_spmd, q, seed).results:
+                    for e, c in local.items():
+                        assert merged.setdefault(e, c) == c
+                assert merged == replay, (engine, p)
+
+
+    @pytest.mark.parametrize("q,p", [
+        (complete_graph(6), 2), (complete_graph(6), 3), (complete_graph(6), 6),
+        (grid2d_graph(3, 3, with_coords=False), 4),
+    ])
+    def test_replay_charges_the_exchanged_rounds(self, q, p):
+        """On the sim engine the replay advances every PE's clock exactly
+        as the exchanged kernel does, without sending anything."""
+        def replayed(comm):
+            distributed_edge_coloring(q, seed=4, comm=comm)
+
+        def exchanged(comm):
+            distributed_edge_coloring_spmd(comm, q, 4)
+
+        rep = get_engine("sim", p).run(replayed)
+        exc = get_engine("sim", p).run(exchanged)
+        assert rep.clocks == exc.clocks and rep.makespan > 0
+        assert rep.bytes_sent == 0 and rep.messages_sent == 0
 
 
 class TestMatchingsFromColoring:
