@@ -28,7 +28,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_objectives.py           # full
     PYTHONPATH=src python benchmarks/bench_objectives.py --smoke   # tiny
     PYTHONPATH=src python benchmarks/bench_objectives.py \
-        --engine threads
+        --engine process
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Subcommands::
     repro generate   rgg --param n=4096 -o graph.metis
     repro info       graph.metis
     repro report     trace.json -o report.html
-    repro compare    BENCH_engines.json BENCH_engines.new.json
+    repro compare    BENCH_kernels.json BENCH_kernels.new.json
     repro dynamic    graph.metis --mutations stream.jsonl -k 8
 
 ``repro dynamic`` replays a mutation-batch stream (JSONL, one

@@ -91,14 +91,12 @@ class KappaConfig:
     prepartition: str = "auto"   # "geometric" | "numbering" | "auto"
     #: execution engine for the cluster path: "sequential" (deterministic
     #: token-passing), "sim" (the same scheduling plus a cost clock,
-    #: reports simulated makespan — the paper default), "process" (one
-    #: OS process per PE)
-    #: or "threads" (one thread per PE over shared CSR views, with a
-    #: work-stealing queue for per-pair FM) — all bit-identical
+    #: reports simulated makespan — the paper default) or "process" (one
+    #: OS process per PE) — all bit-identical
     engine: str = "sim"
     #: receive timeout in seconds for engines that detect deadlocks by
-    #: timeout (process, threads; sequential and sim detect them
-    #: structurally).  None → $REPRO_RECV_TIMEOUT_S → 60 s.
+    #: timeout (process; sequential and sim detect them structurally).
+    #: None → $REPRO_RECV_TIMEOUT_S → 60 s.
     recv_timeout_s: Optional[float] = None
 
     # -- resilience (repro.resilience) ---------------------------------

@@ -13,10 +13,9 @@ Two execution paths share every algorithm kernel (DESIGN.md §5):
 The cluster path runs on a pluggable execution engine
 (:mod:`repro.engine`): ``sequential`` (deterministic token-passing),
 ``sim`` (the same token passing plus a cost clock; its makespan is the
-simulated parallel runtime used by the Figure 3 reproduction),
-``process`` (one OS process per PE for real wall-clock parallelism) or
-``threads`` (one thread per PE over shared CSR views).  All engines
-produce bit-identical partitions for the same master seed.
+simulated parallel runtime used by the Figure 3 reproduction) or
+``process`` (one OS process per PE for real wall-clock parallelism).
+All engines produce bit-identical partitions for the same master seed.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class KappaPartitioner:
         checking is controlled by ``config.check_invariants``.
 
         ``engine`` selects the runtime for the cluster path
-        ("sequential" | "sim" | "process" | "threads"), overriding
+        ("sequential" | "sim" | "process"), overriding
         ``config.engine``;
         it is ignored by ``execution="sequential"``.
         """

@@ -3,10 +3,9 @@
 This is the single source of truth for the parallel execution path.  It
 is written purely against the :class:`~repro.engine.base.Comm` protocol
 and therefore runs unchanged on every engine — sequential (token-passing
-determinism), sim (the same token passing plus a cost clock), process
-(one OS process per PE) and threads (one worker thread per PE over
-shared CSR views, work stealing through ``comm.map_batch``).  The cross-engine equivalence
-suite leans on exactly that: same program + same master seed ⇒
+determinism), sim (the same token passing plus a cost clock) and
+process (one OS process per PE).  The cross-engine equivalence suite
+leans on exactly that: same program + same master seed ⇒
 bit-identical partition everywhere.
 
 Kept at module level (not a ``KappaPartitioner`` method) so the process

@@ -15,12 +15,8 @@ base.Engine` decides *how* the ``p`` virtual PEs actually execute:
 ``process``
     One OS process per PE, shared-memory graph, pickle-free message
     pipes.  Real wall-clock parallelism on multi-core hosts.
-``threads``
-    One thread per PE over shared-memory CSR views, no cost model, with
-    a work-stealing batch queue for per-pair FM.  The raw-speed path on
-    shared memory; true concurrency wherever the GIL is released.
 
-All four produce bit-identical partitions for the same master seed.
+All three produce bit-identical partitions for the same master seed.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from .base import (
 from .process import ProcessEngine
 from .sequential import SequentialEngine
 from .simulated import SimulatedEngine
-from .threads import ThreadsEngine
 
 __all__ = [
     "Comm",
@@ -56,7 +51,6 @@ __all__ = [
     "RECV_TIMEOUT_ENV_VAR",
     "SequentialEngine",
     "SimulatedEngine",
-    "ThreadsEngine",
     "get_engine",
     "resolve_recv_timeout",
 ]
@@ -65,7 +59,6 @@ ENGINES: Dict[str, Type[Engine]] = {
     SequentialEngine.name: SequentialEngine,
     SimulatedEngine.name: SimulatedEngine,
     ProcessEngine.name: ProcessEngine,
-    ThreadsEngine.name: ThreadsEngine,
 }
 
 
@@ -77,13 +70,12 @@ def get_engine(name: str, p: int, machine=None,
     ``machine`` (a :class:`~repro.parallel.costmodel.MachineModel`) only
     applies to the simulated engine and is ignored by the others;
     ``resilience`` (a :class:`~repro.resilience.policy.ResiliencePolicy`)
-    applies to the process engine (supervised gangs, wire faults) and to
-    the threads engine (message faults as send-side latency) — the
+    applies to the process engine (supervised gangs, wire faults) — the
     sequential and sim engines run their PEs in one OS process with no
     wire at all, so their fault injection happens inside the SPMD
     program instead.  ``recv_timeout_s`` bounds blocking waits on the
-    process and threads engines; the sequential and sim engines detect
-    deadlocks structurally and never time out.
+    process engine; the sequential and sim engines detect deadlocks
+    structurally and never time out.
     """
     try:
         cls = ENGINES[name]
@@ -96,8 +88,5 @@ def get_engine(name: str, p: int, machine=None,
                                machine=machine)
     if cls is ProcessEngine:
         return ProcessEngine(p, recv_timeout_s=recv_timeout_s,
-                             resilience=resilience)
-    if cls is ThreadsEngine:
-        return ThreadsEngine(p, recv_timeout_s=recv_timeout_s,
                              resilience=resilience)
     return cls(p, recv_timeout_s=recv_timeout_s)

@@ -18,9 +18,9 @@ the *protocol* without pulling in any particular runtime:
 
 Concrete engines live in sibling modules: sequential (deterministic
 cooperative scheduling, one PE at a time), sim (the sequential scheduler
-plus the simulated-time cost clock), process (one OS process per PE) and
-threads (one thread per PE over shared memory).  This module must not
-import any of them — it is the dependency floor of the engine layer.
+plus the simulated-time cost clock) and process (one OS process per PE).
+This module must not import any of them — it is the dependency floor of
+the engine layer.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ class Comm(Protocol):
 
     def timed(self, name: str) -> ContextManager[None]: ...
 
-    def map_batch(self, tasks: Sequence[Callable[[], Any]]) -> List[Any]: ...
-
     def model_collectives(
         self, ops: Callable[[], Iterable[Tuple[float, int, int]]],
     ) -> None: ...
@@ -160,7 +158,7 @@ class EngineResult:
 
     ``makespan`` is engine-specific: simulated seconds for the sim
     engine (the Figure 3 quantity), wall-clock seconds of the slowest PE
-    for the process and threads engines, and ``None`` for the sequential
+    for the process engine, and ``None`` for the sequential
     engine (whose execution is serialised, so a per-PE makespan is
     meaningless).
     ``phase_times`` holds one ``{phase: seconds}`` dict per PE, filled by
@@ -323,19 +321,6 @@ class CommBase:
         return [vals[src][self.rank]
                 for src in range(self.size)]  # type: ignore[attr-defined]
 
-    def map_batch(self, tasks: Sequence[Callable[[], Any]]) -> List[Any]:
-        """Run a batch of independent zero-arg tasks and return their
-        results in submission order.
-
-        This is the engine's work-distribution hook: the base (and every
-        engine without true intra-PE parallelism) runs the tasks in order
-        on the calling PE, which keeps results bit-identical by
-        construction.  The threads engine overrides it with a
-        work-stealing pool, so tasks must be independent, must not touch
-        ``comm``, and must tolerate running concurrently with each other
-        (see :meth:`repro.engine.threads.ThreadsComm.map_batch`)."""
-        return [task() for task in tasks]
-
     def sendrecv(self, obj: Any, peer: int, tag: int = 0) -> Any:
         """Exchange with a partner PE (both sides call this).  Rank order
         breaks the symmetry so engines with bounded channel buffers
@@ -360,7 +345,7 @@ class Engine(ABC):
     cheap to construct; all heavy lifting happens in :meth:`run`.
     """
 
-    #: registry key ("sequential" | "sim" | "process" | "threads")
+    #: registry key ("sequential" | "sim" | "process")
     name: str = "abstract"
 
     def __init__(self, p: int, recv_timeout_s: Optional[float] = None) -> None:

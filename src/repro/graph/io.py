@@ -94,8 +94,10 @@ def read_metis(f: PathLike) -> Graph:
             handle.close()
     while lines and not lines[0][1].strip():
         lines.pop(0)
+    stripped = 0
     while lines and not lines[-1][1].strip():
         lines.pop()
+        stripped += 1
     if not lines:
         raise ValueError("empty METIS file")
     header = lines[0][1].split()
@@ -106,9 +108,10 @@ def read_metis(f: PathLike) -> Graph:
     ncon = int(header[3]) if len(header) > 3 else 1
     if ncon != 1:
         raise ValueError("multi-constraint METIS files are not supported")
-    if len(lines) - 1 < n:
-        # trailing isolated nodes produce trailing blank lines which some
-        # writers (and the stripping above) drop — pad them back
+    if len(lines) - 1 < n <= len(lines) + stripped:
+        # trailing isolated nodes are trailing blank lines: pad back the
+        # ones stripped above, plus one for a last line without a final
+        # newline — never more, so a header alone allocates nothing
         last = lines[-1][0]
         lines += [(last + i, "") for i in range(1, n - len(lines) + 2)]
     if len(lines) - 1 != n:

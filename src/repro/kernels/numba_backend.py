@@ -4,9 +4,7 @@ The four registered kernels are the reference ``python`` loops compiled
 with ``@numba.njit(cache=True, nogil=True)``: same per-arc visit order,
 same scalar float accumulation order, so the results are **bit-identical**
 to the ``python``/``numpy`` backends (the differential suite enforces
-it).  ``nogil=True`` matters beyond raw speed — under the *threads*
-engine the interpreter lock is released for the whole kernel, so PEs
-refine truly concurrently.
+it).
 
 Numba is an *optional* dependency (install extra ``repro[numba]``).
 When it is absent this module still registers a complete ``numba``

@@ -24,8 +24,8 @@ default; :func:`use_backend` / :func:`use_tracer` override it in the
 current :mod:`contextvars` context only, so concurrent runs on different
 threads (``repro serve`` jobs) neither see each other's backend nor
 count into each other's tracer.  A thread starts from the defaults;
-code that fans work out to threads (the threads engine) runs it in a
-copy of the caller's context.
+code that fans work out to threads (the sequential and sim engines'
+per-PE carriers) runs it in a copy of the caller's context.
 
 Adding a kernel: implement it in both backend modules and decorate each
 with ``@register("<name>", "<backend>")``.  The differential test suite

@@ -2,7 +2,7 @@
 
 ``python -m repro compare BASE NEW`` loads two documents of the same
 kind — trace JSON (either schema version), a JSONL run journal, or a
-``BENCH_kernels.json``/``BENCH_engines.json`` benchmark file — extracts
+``BENCH_kernels.json``/``BENCH_service.json`` benchmark file — extracts
 the comparable scalar metrics from each, and flags every metric whose
 relative change exceeds a threshold *in the bad direction*.  Direction
 is metric-aware: times, byte/message volumes and cut sizes regress
@@ -218,20 +218,11 @@ def _bench_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
             for name in ("cut", "mapping_cost", "max_imbalance", "wall_s"):
                 if rec.get(name) is not None:
                     out[f"{key}.{name}"] = float(rec[name])
-        elif "engine" in rec:  # bench_engines rows
-            key = rec["engine"]
-            for name in ("wall_s", "best_wall_s", "makespan_s", "cut"):
-                if rec.get(name) is not None:
-                    out[f"{key}.{name}"] = float(rec[name])
-            for name, value in (rec.get("phase_times") or {}).items():
-                out[f"{key}.{name}"] = float(value)
         elif "scenario" in rec:  # bench_service rows
             key = f"service.{rec['scenario']}"
             for name, value in rec.items():
                 if name != "scenario" and _is_number(value):
                     out[f"{key}.{name}"] = float(value)
-    if doc.get("speedup_process_vs_sim") is not None:
-        out["speedup_process_vs_sim"] = float(doc["speedup_process_vs_sim"])
     for name in ("cached_speedup", "cache_hit_ratio"):  # bench_service
         if _is_number(doc.get(name)):
             out[name] = float(doc[name])

@@ -18,7 +18,7 @@ log into answers for "why was this run slow":
     exit transitively happens-after all PEs' pre-collective work.
 
   The node set and edge set are pure functions of the SPMD program —
-  identical across the sequential, sim, process and threads engines —
+  identical across the sequential, sim and process engines —
   which the cross-engine equivalence suite asserts as a correctness
   check on the comm layer itself.
 

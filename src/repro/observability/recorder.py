@@ -35,8 +35,8 @@ messages FIFO per ``(src, dst, tag)`` channel, the *n*-th receive on a
 channel always matches the *n*-th send — so the sequence ids pair sends
 with their receives without any wire-format change, and the resulting
 causal DAG (:mod:`repro.observability.critpath`) is a pure function of
-the SPMD program: identical across the sequential, sim, process and
-threads engines.  Duplicate frames injected by the resilience layer
+the SPMD program: identical across the sequential, sim and process
+engines.  Duplicate frames injected by the resilience layer
 (``copies > 1``) are *one* logical message and advance ``seq`` once.
 Collectives are logged as one ``coll`` event per PE keyed by a per-PE
 round counter; SPMD programs execute collectives in a single global

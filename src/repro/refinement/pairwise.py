@@ -552,11 +552,9 @@ def pairwise_refinement_spmd(
     their results, and both adopt the better one — the paper's protocol.
     A PE that owns both blocks runs both seeds.  After each color, the
     node moves are shared so every PE holds a consistent partition.
-    Within a color the per-pair searches are submitted through
-    ``comm.map_batch`` — sequential (and therefore order-identical) on
-    most engines, a work-stealing batch on the threads engine; the
-    searches only read the partition and never communicate, so stealing
-    cannot change a single label.  Returns the refined partition
+    Within a color the per-pair searches only read the partition and
+    never communicate, so they run in pair order between the band
+    exchanges and the result trade.  Returns the refined partition
     (identical on every PE, and identical to :func:`pairwise_refinement`
     with ``coloring="distributed"`` for the same seed, for *any* PE
     count).
@@ -589,9 +587,8 @@ def pairwise_refinement_spmd(
             # so their refinements touch disjoint blocks and commute
             # bit-exactly — which lets each local iteration extract all
             # live bands in one call, run the band exchanges pair by
-            # pair, hand the searches to ``comm.map_batch`` as one
-            # stealable batch (idle PEs of the threads engine pick pairs
-            # off the far end), and trade the results per partner.
+            # pair, then all the searches, and trade the results per
+            # partner.
             updates: List[Tuple[int, int]] = []
             sizes = np.bincount(part, minlength=k)
             pairs = []
@@ -626,22 +623,19 @@ def pairwise_refinement_spmd(
                         comm.sendrecv(payload, p_["partner"], tag=100 + lit)
                     comm.compute(band.graph.m)
 
-                def search_task(p_, band, lit=lit):
-                    a, b = p_["edge"]
-                    return _search_pair(
-                        g, part, block_w, a, b, lmax, alpha,
+                searches = [
+                    _search_pair(
+                        g, part, block_w, *p_["edge"], lmax, alpha,
                         queue_selection,
-                        [_pair_seed(seed, git, lit, a, b, who)
+                        [_pair_seed(seed, git, lit, *p_["edge"], who)
                          for who in p_["whos"]],
                         p_["sizes"], pair_algorithm, band,
                         dist=dist,
                         aux_block_w=aux_block_w,
                         aux_lmax=aux_lmax,
                     )
-
-                searches = comm.map_batch(
-                    [lambda p_=p_, band=band: search_task(p_, band)
-                     for p_, band in zip(live, bands)])
+                    for p_, band in zip(live, bands)
+                ]
                 theirs = _swap_fm_candidates(comm, live, bands, searches,
                                              tag=200 + lit)
                 for i, (p_, band, search) in enumerate(

@@ -24,12 +24,8 @@ only perturb *timing*, never payloads — produces a partition bit-identical
 to the fault-free run whenever it completes.
 
 Message faults act on the process engine's wire layer (the only engine
-with a real network) and, as send-side latency only, on the threads
-engine — shared memory has no frames to drop or duplicate, so there the
-same seeded injector perturbs scheduling instead (the threads stress
-suite uses it as a deterministic jitter source).  Crash/hang clauses
-work on every engine (raised as :class:`InjectedCrash` where no hard
-process death is possible).
+with a real network).  Crash/hang clauses work on every engine (raised
+as :class:`InjectedCrash` where no hard process death is possible).
 """
 
 from __future__ import annotations

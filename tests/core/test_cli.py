@@ -150,12 +150,21 @@ class TestParser:
                                        "--tool", "patoh"])
 
 
+    def test_retired_threads_engine_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "g.metis", "-k", "2", "--engine", "threads"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'threads'" in err
+        assert "Traceback" not in err
+
+
 class TestListFlags:
     def test_list_engines(self, capsys):
         rc = main(["--list-engines"])
         assert rc == 0
         text = capsys.readouterr().out
-        for name in ("sequential", "sim", "process", "threads"):
+        for name in ("sequential", "sim", "process"):
             assert name in text
         assert "(default)" in text
 

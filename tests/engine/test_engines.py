@@ -265,6 +265,23 @@ class TestTimeoutConfiguration:
             get_engine("sim", 2, recv_timeout_s=0.3).run(program)
         assert time.monotonic() - t0 < DEFAULT_RECV_TIMEOUT_S / 2
 
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_slow_pe_result_is_not_dropped(self, engine, monkeypatch):
+        """A PE that computes past ``10 * recv_timeout_s`` without talking
+        is slow, not deadlocked: the engine must wait for it instead of
+        returning ``None`` in its result slot."""
+        import time
+
+        monkeypatch.delenv(RECV_TIMEOUT_ENV_VAR, raising=False)
+
+        def program(comm):
+            if comm.rank == 1:
+                time.sleep(1.5)
+            return comm.rank
+
+        res = get_engine(engine, 2, recv_timeout_s=0.1).run(program)
+        assert res.results == [0, 1]
+
     def test_config_field_flows_to_engine(self):
         from repro.core import FAST
 
@@ -293,6 +310,20 @@ class TestCommProtocol:
     def test_registry_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
             get_engine("quantum", 2)
+
+    def test_threads_engine_is_gone(self):
+        """The retired ``threads`` engine is an unknown name like any
+        other: a clean ``ValueError`` that lists what is available."""
+        from repro.core import KappaConfig
+
+        assert set(ENGINES) == {"sequential", "sim", "process"}
+        for make in (lambda: get_engine("threads", 2),
+                     lambda: KappaConfig(engine="threads")):
+            with pytest.raises(ValueError,
+                               match="unknown engine 'threads'") as exc:
+                make()
+            for name in ENGINES:
+                assert name in str(exc.value)
 
     def test_engine_needs_a_pe(self):
         with pytest.raises(ValueError):

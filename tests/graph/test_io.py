@@ -123,6 +123,31 @@ class TestMetisValidation:
         with pytest.raises(ValueError, match=r"line 4: neighbour id 9"):
             self.read("% comment\n3 2\n2\n1 9\n2\n")
 
+    def test_negative_node_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"non-negative"):
+            self.read("2 1 10\n-1 2\n1 1\n")
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_non_positive_edge_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"edge weights must be "
+                                             r"positive"):
+            self.read(f"2 1 1\n2 {bad}\n1 {bad}\n")
+
+    def test_header_alone_cannot_claim_millions_of_nodes(self):
+        # only stripped trailing blank lines (plus one final line without
+        # a newline) are padded back, so the header's n is checked
+        # before anything of size n is allocated
+        with pytest.raises(ValueError, match=r"expected 2000000 node "
+                                             r"lines, found 0"):
+            self.read("2000000 0\n")
+        with pytest.raises(ValueError, match=r"expected 3 node lines, "
+                                             r"found 0"):
+            self.read("3 0\n\n")
+
+    @pytest.mark.parametrize("text", ["1 0\n", "3 0\n\n\n", "3 1\n2\n1\n"])
+    def test_trailing_isolated_nodes_still_read(self, text):
+        assert self.read(text).n == int(text.split()[0])
+
     def test_symmetric_file_still_reads(self):
         g = self.read("% c\n3 2 11\n1 2 5\n2 1 5 3 7\n3 2 7\n")
         assert (g.n, g.m) == (3, 2)

@@ -105,23 +105,23 @@ class TestReportCommand:
         assert rc == 1
         assert "cannot load trace" in capsys.readouterr().err
 
-    def test_threads_engine_run_reports_per_pe_spans(self, graph_file,
+    def test_process_engine_run_reports_per_pe_spans(self, graph_file,
                                                      tmp_path):
-        # regression: the threads engine must flow through the report
-        # path like every other engine — named in the title, per-PE
-        # phase rows present
+        # regression: a real-concurrency engine must flow through the
+        # report path like every other engine — named in the title,
+        # per-PE phase rows present
         t = str(tmp_path / "trace.json")
         out = str(tmp_path / "report.html")
         rc = main(["partition", graph_file, "-k", "4",
-                   "--preset", "minimal", "--engine", "threads",
+                   "--preset", "minimal", "--engine", "process",
                    "-o", str(tmp_path / "p"), "--trace", t,
                    "--trace-events", str(tmp_path / "te.json")])
         assert rc == 0
-        assert json.loads(open(t).read())["meta"]["engine"] == "threads"
+        assert json.loads(open(t).read())["meta"]["engine"] == "process"
         rc = main(["report", t, "-o", out])
         assert rc == 0
         html = open(out).read()
-        assert "engine=threads" in html
+        assert "engine=process" in html
         for pe in range(4):
             assert f"PE {pe}" in html
 
@@ -219,8 +219,9 @@ class TestCompareCommand:
         base, _, _ = journals
         bench = tmp_path / "bench.json"
         bench.write_text(json.dumps(
-            {"schema": "repro.bench_engines/1", "meta": {},
-             "records": [{"engine": "sim", "wall_s": 1.0}]}))
+            {"schema": "repro.bench_kernels/1", "meta": {},
+             "records": [{"kernel": "band_bfs", "backend": "numpy",
+                          "median_s": 1.0}]}))
         assert main(["compare", base, str(bench)]) == 2
         assert "cannot compare" in capsys.readouterr().err
 

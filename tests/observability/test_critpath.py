@@ -194,10 +194,10 @@ class TestGracefulDegradation:
 
 
 class TestCrossEngineDag:
-    """Acceptance: all four engines produce the identical causal DAG
+    """Acceptance: every engine produces the identical causal DAG
     (same edge set, same logical critical path) for the same program."""
 
-    ENGINES = ("sequential", "sim", "process", "threads")
+    ENGINES = ("sequential", "sim", "process")
 
     @staticmethod
     def _dag_fingerprint(g, k, engine):
@@ -238,7 +238,7 @@ class TestDelayFaultOnCriticalPath:
         tracer = Tracer()
         cfg = OBS.derive(faults=faults)
         partition_graph(g, 4, config=cfg, seed=1, execution="cluster",
-                        engine="threads", tracer=tracer)
+                        engine="process", tracer=tracer)
         return analyze_trace(tracer.to_dict())
 
     def test_injected_delay_shows_up(self):

@@ -199,7 +199,7 @@ class TestCompare:
 
 class TestProvenance:
     def test_bench_with_meta_passes(self, tmp_path):
-        doc = {"schema": "repro.bench_engines/1",
+        doc = {"schema": "repro.bench_kernels/1",
                "meta": {"git_sha": "abc123", "timestamp": "2026-01-01"},
                "records": []}
         path = tmp_path / "bench.json"
@@ -208,7 +208,7 @@ class TestProvenance:
         assert meta["git_sha"] == "abc123"
 
     def test_missing_provenance_raises(self, tmp_path):
-        doc = {"schema": "repro.bench_engines/1", "meta": {}, "records": []}
+        doc = {"schema": "repro.bench_kernels/1", "meta": {}, "records": []}
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CompareError, match="provenance"):

@@ -77,7 +77,7 @@ class TestPointToPoint:
 
     def test_recv_timeout_raises_deadlock(self):
         """A recv nobody answers: structural detection on the token
-        engines, the receive deadline on threads/process."""
+        engines, the receive deadline on process."""
         def prog(comm):
             if comm.rank == 0:
                 comm.recv(1, timeout=0.2)

@@ -80,7 +80,7 @@ class TestCommunicationPatterns:
         # in-process engines only: sixteen forked workers buy no extra
         # protocol coverage over the 8-PE butterfly above
         res = run_all(16, lambda c: c.allreduce(c.rank),
-                      engines=("sequential", "sim", "threads"))
+                      engines=("sequential", "sim"))
         assert res.results[0] == sum(range(16))
 
 

@@ -143,6 +143,16 @@ def test_bad_option_400(client):
     assert err.value.status == 400
 
 
+def test_header_only_metis_upload_400(client):
+    # regression: a 10-byte header claiming two million nodes used to
+    # be padded out to a full graph before any check
+    with pytest.raises(ServiceError) as err:
+        client._request("POST", "/v1/partition",
+                        {"k": 4, "graph": {"metis": "2000000 0\n"}})
+    assert err.value.status == 400
+    assert "expected 2000000 node lines" in str(err.value)
+
+
 def test_result_before_done_409(server):
     # fill the single-file worker with a slow job, then poll the queued
     # one: its result endpoint must answer 409 + Retry-After, not block

@@ -31,7 +31,6 @@ MODULES = [
     "repro.engine.sequential",
     "repro.engine.simulated",
     "repro.engine.process",
-    "repro.engine.threads",
     "repro.coarsening",
     "repro.coarsening.ratings",
     "repro.coarsening.contract",

@@ -8,7 +8,7 @@ pipeline run ever relabels a fixed vertex.**
 The full-pipeline property runs on both the sequential driver and the
 cluster path (sequential engine); the deterministic engine-equivalence
 suite in ``test_constraints.py`` extends the guarantee bit-for-bit to
-the sim/process/threads engines.
+the sim and process engines.
 """
 
 import numpy as np
