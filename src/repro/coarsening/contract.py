@@ -40,8 +40,12 @@ def contract_matching(g: Graph, matching: np.ndarray) -> Tuple[Graph, np.ndarray
     if matching.shape != (g.n,):
         raise ValueError("matching must have one entry per node")
     rep = np.minimum(np.arange(g.n, dtype=np.int64), matching)
-    uniq, coarse_map = np.unique(rep, return_inverse=True)
-    n_coarse = len(uniq)
+    # coarse ids number the representatives in ascending order
+    is_rep = np.zeros(g.n, dtype=bool)
+    is_rep[rep] = True
+    ids = np.cumsum(is_rep) - 1
+    coarse_map = ids[rep]
+    n_coarse = int(ids[-1]) + 1 if g.n else 0
 
     xadj, adjncy, adjwgt, vwgt = dispatch(
         "contract_edges", g, coarse_map, n_coarse

@@ -36,7 +36,7 @@ from .io import (
     read_partition,
     write_partition,
 )
-from .subgraph import induced_subgraph, induced_subgraphs, relabel, SubgraphMap
+from .subgraph import induced_subgraph, relabel, SubgraphMap
 from .quotient import quotient_graph, block_neighbors, cut_between
 from .distributed import DistributedGraph, LocalView
 from .validate import validate_graph, validate_partition, validate_matching
@@ -71,7 +71,6 @@ __all__ = [
     "read_partition",
     "write_partition",
     "induced_subgraph",
-    "induced_subgraphs",
     "relabel",
     "SubgraphMap",
     "quotient_graph",

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .csr import Graph
 
-__all__ = ["SubgraphMap", "induced_subgraph", "induced_subgraphs", "relabel"]
+__all__ = ["SubgraphMap", "induced_subgraph", "relabel"]
 
 
 @dataclass(frozen=True)
@@ -48,69 +48,40 @@ class SubgraphMap:
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Tuple[Graph, SubgraphMap]:
     """Extract the subgraph induced by ``nodes``.
 
-    Node and edge weights are preserved; coordinates are sliced through.
-    Nodes are renumbered ``0..len(nodes)-1`` in the order given (after
-    deduplication, keeping first occurrence order sorted ascending).
+    Node and edge weights are preserved; coordinates, constraint weights
+    and fixed-vertex pins are sliced through.  Nodes are deduplicated and
+    renumbered ``0..len(nodes)-1`` in ascending id order.  Only the
+    selected rows' arcs are read, so the cost follows the subgraph.
     """
     if not isinstance(nodes, np.ndarray):
         nodes = list(nodes)
     sel = np.unique(np.asarray(nodes, dtype=np.int64))
     if len(sel) and (sel[0] < 0 or sel[-1] >= g.n):
         raise ValueError("node id out of range")
-    return induced_subgraphs(g, sel, [0, len(sel)])[0]
-
-
-def induced_subgraphs(
-    g: Graph, nodes: np.ndarray, bounds: Sequence[int],
-) -> List[Tuple[Graph, SubgraphMap]]:
-    """Extract the subgraphs induced by several disjoint node groups.
-
-    Group ``i`` is ``nodes[bounds[i]:bounds[i + 1]]`` (ascending node
-    ids; no node in two groups).  Only arcs between two nodes of the
-    same group are kept, so each result equals :func:`induced_subgraph`
-    of its group alone, array for array — but all groups share one
-    gather, one filter and one sort.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    bounds = [int(x) for x in bounds]
-    group = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64),
-                      np.diff(bounds))
     pos = np.full(g.n, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes), dtype=np.int64)
+    pos[sel] = np.arange(len(sel), dtype=np.int64)
 
-    # arcs of the selected rows whose head is in the same group: only
-    # those rows are touched, so the cost follows the subgraphs
-    idx, counts = g.row_arcs(nodes)
-    s_src = np.repeat(np.arange(len(nodes), dtype=np.int64), counts)
+    idx, counts = g.row_arcs(sel)
+    s_src = np.repeat(np.arange(len(sel), dtype=np.int64), counts)
     s_dst = pos[g.adjncy[idx]]
-    keep = (s_dst >= 0) & (group[s_dst] == group[s_src])
+    keep = s_dst >= 0
     s_src, s_dst, s_w = s_src[keep], s_dst[keep], g.adjwgt[idx[keep]]
 
     # order each row by target: already so when the parent's rows are
     # sorted (the usual case), so sort only when a row is not
-    key = s_src * len(nodes) + s_dst
+    key = s_src * len(sel) + s_dst
     if (key[1:] < key[:-1]).any():
         order = np.argsort(key, kind="stable")
         s_dst, s_w = s_dst[order], s_w[order]
-    xadj = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(s_src, minlength=len(nodes)), out=xadj[1:])
-    vwgt = g.vwgt[nodes]
-    coords = None if g.coords is None else g.coords[nodes]
-    vwgts = None if g.n_constraints == 1 else g.vwgts[nodes]
-    fixed = None if g.fixed is None else g.fixed[nodes]
-
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a0, a1 = int(xadj[lo]), int(xadj[hi])
-        sub = Graph(
-            xadj[lo:hi + 1] - a0, s_dst[a0:a1] - lo, s_w[a0:a1],
-            vwgt[lo:hi], validate=False,
-            coords=None if coords is None else coords[lo:hi],
-            vwgts=None if vwgts is None else vwgts[lo:hi],
-            fixed=None if fixed is None else fixed[lo:hi],
-        )
-        out.append((sub, SubgraphMap(to_parent=nodes[lo:hi], n_parent=g.n)))
-    return out
+    xadj = np.zeros(len(sel) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s_src, minlength=len(sel)), out=xadj[1:])
+    sub = Graph(
+        xadj, s_dst, s_w, g.vwgt[sel], validate=False,
+        coords=None if g.coords is None else g.coords[sel],
+        vwgts=None if g.n_constraints == 1 else g.vwgts[sel],
+        fixed=None if g.fixed is None else g.fixed[sel],
+    )
+    return sub, SubgraphMap(to_parent=sel, n_parent=g.n)
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

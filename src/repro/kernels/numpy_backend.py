@@ -81,11 +81,11 @@ def contract_edges(
 
     Maps every arc to coarse ids, keeps the ``cu < cv`` direction (which
     also drops the contracted matching edges, ``cu == cv``), merges
-    parallel edges by a stable sort + grouped add, and assembles the
-    symmetric CSR via one lexsort.
+    parallel edges by a stable sort + ``bincount`` (sequential in arc
+    order), and assembles the symmetric CSR with one ``argsort`` over
+    the merged edges' transposed keys.
     """
-    vwgt = np.zeros(n_coarse, dtype=np.float64)
-    np.add.at(vwgt, coarse_map, g.vwgt)
+    vwgt = np.bincount(coarse_map, weights=g.vwgt, minlength=n_coarse)
 
     src = coarse_map[g.directed_sources()]
     dst = coarse_map[g.adjncy]
@@ -97,19 +97,27 @@ def contract_edges(
         key, cu, cv, cw = key[order], cu[order], cv[order], cw[order]
         first = np.ones(len(key), dtype=bool)
         first[1:] = key[1:] != key[:-1]
-        groups = np.cumsum(first) - 1
-        merged = np.zeros(int(first.sum()), dtype=np.float64)
-        np.add.at(merged, groups, cw)
-        cu, cv, cw = cu[first], cv[first], merged
+        cw = np.bincount(np.cumsum(first) - 1, weights=cw)
+        cu, cv = cu[first], cv[first]
 
-    s2 = np.concatenate([cu, cv])
-    d2 = np.concatenate([cv, cu])
-    w2 = np.concatenate([cw, cw])
-    order = np.lexsort((d2, s2))
+    # row r lists its lower neighbours (edges (u, r), u < r) ascending,
+    # then its upper ones (edges (r, v)).  The edges are unique and sorted
+    # by (cu, cv), which already orders the upper entries; one argsort of
+    # the (cv, cu) keys orders the lower ones (unique keys: any sort is
+    # exact).  Each entry lands at its rank within its row's run.
+    n_low = np.bincount(cv, minlength=n_coarse)
+    n_up = np.bincount(cu, minlength=n_coarse)
     xadj = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.add.at(xadj, s2 + 1, 1)
-    np.cumsum(xadj, out=xadj)
-    return xadj, d2[order], w2[order], vwgt
+    np.cumsum(n_low + n_up, out=xadj[1:])
+    slot = np.arange(len(cu), dtype=np.int64)
+    adjncy = np.empty(2 * len(cu), dtype=np.int64)
+    adjwgt = np.empty(2 * len(cu), dtype=np.float64)
+    lower = np.argsort(cv * n_coarse + cu)
+    at = slot + (np.cumsum(n_up) - n_up)[cv[lower]]
+    adjncy[at], adjwgt[at] = cu[lower], cw[lower]
+    at = slot + np.cumsum(n_low)[cu]
+    adjncy[at], adjwgt[at] = cv, cw
+    return xadj, adjncy, adjwgt, vwgt
 
 
 @register("gain_boundary", "numpy")

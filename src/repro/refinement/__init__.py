@@ -9,8 +9,10 @@ from .gain import (
     two_way_boundary,
     cut_between_sides,
 )
-from .fm import FMResult, FMSearch, fm_bipartition_refine, QUEUE_STRATEGIES
-from .band import Band, extract_band, extract_bands
+from .fm import (FMLists, FMResult, FMSearch, fm_bipartition_refine,
+                 QUEUE_STRATEGIES)
+from .band import (Band, add_candidates, cut_candidates, extract_band,
+                   extract_bands)
 from .pairwise import (
     PairResult,
     refine_pair,
@@ -26,6 +28,7 @@ __all__ = [
     "initial_gains",
     "two_way_boundary",
     "cut_between_sides",
+    "FMLists",
     "FMResult",
     "FMSearch",
     "fm_bipartition_refine",
@@ -33,6 +36,8 @@ __all__ = [
     "Band",
     "extract_band",
     "extract_bands",
+    "cut_candidates",
+    "add_candidates",
     "PairResult",
     "refine_pair",
     "pairwise_refinement",

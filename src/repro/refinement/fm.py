@@ -25,25 +25,28 @@ The two queues are binary heaps (the paper's choice, Section 6) built on
 keyed ``(−gain, −tiebreak, node)`` and stale entries are dropped when
 they surface at the top.  A node's tiebreak is a uniform draw taken when
 it enters its queue, which realises the random initial order.  The search
-runs on plain Python lists converted once per search graph
-(:class:`FMSearch`), so the two seeded runs of a pairwise step share the
-conversion and the initial gains.  The addressable heap of
-:mod:`repro.refinement.pq` remains the queue of rebalancing and initial
-partitioning.
+runs on plain Python lists (:class:`FMLists`) prepared once per search
+(:class:`FMSearch`), so the two seeded runs of a pairwise step share
+them.  A whole graph is converted by the :class:`FMSearch` constructor;
+pair refinement gets the lists of a boundary band straight from
+:func:`~repro.refinement.band.extract_bands` and hands them to
+:meth:`FMSearch.from_lists`, so no band subgraph is ever built for FM.
+The addressable heap of :mod:`repro.refinement.pq` remains the queue of
+rebalancing and initial partitioning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import Graph
 from .gain import gain_and_boundary
 
-__all__ = ["FMResult", "FMSearch", "fm_bipartition_refine",
+__all__ = ["FMLists", "FMResult", "FMSearch", "fm_bipartition_refine",
            "QUEUE_STRATEGIES"]
 
 QUEUE_STRATEGIES = ("alternating", "max_load", "top_gain", "top_gain_max_load")
@@ -70,14 +73,37 @@ def _floats(x: Optional[np.ndarray], default: np.ndarray) -> List[float]:
             else np.asarray(x, dtype=np.float64)).tolist()
 
 
+class FMLists(NamedTuple):
+    """The start state of an FM search as plain Python lists.
+
+    Node ids are local, ``0..n-1``.  The adjacency holds the arcs
+    between listed nodes; nodes FM may never move can be left out
+    (FM never updates them), but their arcs still count in ``gains`` —
+    the raw cut gains before any mapping scale or bias.  ``init`` is
+    the start boundary: the movable nodes with a crossing arc,
+    ascending.
+    """
+
+    xadj: List[int]
+    adjncy: List[int]
+    delta: List[float]    # 2·ω per arc: a neighbour's gain change on a move
+    vwgt: List[float]
+    side: List[int]
+    movable: List[bool]
+    gains: List[float]
+    init: List[int]
+
+
 class FMSearch:
     """A search graph and start assignment prepared for FM passes.
 
-    Holds everything a pass reads but never writes — the CSR arrays,
+    Holds everything a pass reads but never writes — the adjacency,
     node weights, movability and the initial gains/boundary — as Python
     lists, so repeated passes (different seeds, limits or strategies)
-    pay for the numpy→list conversion once.  See
-    :func:`fm_bipartition_refine` for the parameters.
+    pay for the preparation once.  The constructor prepares a whole
+    graph ``g``; :meth:`from_lists` takes lists prepared elsewhere (a
+    boundary band).  See :func:`fm_bipartition_refine` for the
+    parameters.
     """
 
     def __init__(
@@ -93,28 +119,82 @@ class FMSearch:
         if side.shape != (g.n,) or (
                 g.n and (side.min() < 0 or side.max() > 1)):
             raise ValueError("side must be a 0/1 vector of length n")
-        self.n = g.n
-        self.side = side.tolist()
-        self.movable = ([True] * g.n if movable is None
-                        else np.asarray(movable, dtype=bool).tolist())
-        on_b = side == 1
-        self.weights = (float(g.vwgt[~on_b].sum()), float(g.vwgt[on_b].sum()))
-        self.counts = (g.n - int(on_b.sum()), int(on_b.sum()))
-        self.xadj = g.xadj.tolist()
-        self.adjncy = g.adjncy.tolist()
+        movable = ([True] * g.n if movable is None
+                   else np.asarray(movable, dtype=bool).tolist())
         scale = 1.0 if edge_scale is None else float(edge_scale)
-        # gain change of a neighbour when its edge flips internal/external
-        self.delta = (2.0 * g.adjwgt * scale).tolist()
-        self.vwgt = g.vwgt.tolist()
         gains, boundary = gain_and_boundary(g, side, scale=edge_scale,
                                             bias=gain_bias)
-        self.gains = gains.tolist()
-        self.init = [v for v in boundary.tolist() if self.movable[v]]
+        self._load(FMLists(
+            xadj=g.xadj.tolist(),
+            adjncy=g.adjncy.tolist(),
+            delta=(2.0 * g.adjwgt * scale).tolist(),
+            vwgt=g.vwgt.tolist(),
+            side=side.tolist(),
+            movable=movable,
+            gains=gains.tolist(),
+            init=[v for v in boundary.tolist() if movable[v]],
+        ), aux_weights)
+        on_b = side == 1
+        self._totals = (
+            (float(g.vwgt[~on_b].sum()), float(g.vwgt[on_b].sum())),
+            (g.n - int(on_b.sum()), int(on_b.sum())),
+        )
+
+    @classmethod
+    def from_lists(
+        cls,
+        lists: FMLists,
+        edge_scale: Optional[float] = None,
+        gain_bias: Optional[np.ndarray] = None,
+        aux_weights: Optional[np.ndarray] = None,
+    ) -> "FMSearch":
+        """A search over prepared lists (for instance
+        :attr:`repro.refinement.band.Band.fm`).  ``edge_scale`` and
+        ``gain_bias`` transform the raw gains exactly as the
+        ``gain_boundary`` kernel does for a whole graph, so both
+        constructors give bit-identical searches on the same state.
+        Default block weights and sizes (``weight_a`` etc. left unset in
+        :meth:`run`) are those of the listed nodes."""
+        gains, delta = lists.gains, lists.delta
+        if edge_scale is not None and float(edge_scale) != 1.0:
+            scale = float(edge_scale)
+            gains = [x * scale for x in gains]
+            delta = [x * scale for x in delta]
+        if gain_bias is not None:
+            gains = [x + y for x, y in zip(
+                gains, np.asarray(gain_bias, dtype=np.float64).tolist())]
+        self = cls.__new__(cls)
+        self._load(lists._replace(gains=gains, delta=delta), aux_weights)
+        return self
+
+    def _load(self, lists: FMLists,
+              aux_weights: Optional[np.ndarray]) -> None:
+        self.n = len(lists.side)
+        self.xadj, self.adjncy, self.delta = (lists.xadj, lists.adjncy,
+                                              lists.delta)
+        self.vwgt, self.side, self.movable = (lists.vwgt, lists.side,
+                                              lists.movable)
+        self.gains, self.init = lists.gains, lists.init
+        self._totals: Optional[Tuple[Tuple[float, float],
+                                     Tuple[int, int]]] = None
         self.aux = None
         if aux_weights is not None:
-            aux = np.asarray(aux_weights, dtype=np.float64).reshape(g.n, -1)
+            aux = np.asarray(aux_weights, dtype=np.float64).reshape(self.n, -1)
+            on_b = np.array(self.side, dtype=bool)
             self.aux = aux.tolist()
             self.aux_weights = (aux[~on_b].sum(axis=0), aux[on_b].sum(axis=0))
+
+    def _side_totals(self) -> Tuple[Tuple[float, float], Tuple[int, int]]:
+        """Start weights and node counts of sides 0 and 1 — the defaults
+        of :meth:`run`'s ``weight_a``/``weight_b`` and ``block_sizes``
+        (computed on first use: pair refinement always passes both)."""
+        if self._totals is None:
+            w, c = [0.0, 0.0], [0, 0]
+            for s, x in zip(self.side, self.vwgt):
+                w[s] += x
+                c[s] += 1
+            self._totals = ((w[0], w[1]), (c[0], c[1]))
+        return self._totals
 
     def run(
         self,
@@ -146,13 +226,15 @@ class FMSearch:
         inq = [False] * self.n      # node has a live queue entry
         tiebreak = [0.0] * self.n
 
-        w = [self.weights[0] if weight_a is None else float(weight_a),
-             self.weights[1] if weight_b is None else float(weight_b)]
+        if weight_a is None or weight_b is None or block_sizes is None:
+            weights, counts = self._side_totals()
+        w = [weights[0] if weight_a is None else float(weight_a),
+             weights[1] if weight_b is None else float(weight_b)]
         limit_a = float("inf") if lmax is None else float(lmax)
         limit_b = limit_a if lmax_b is None else float(lmax_b)
         limits = (limit_a, limit_b)
         limit = max(limit_a, limit_b)  # queue strategies use the joint limit
-        sizes = self.counts if block_sizes is None else block_sizes
+        sizes = counts if block_sizes is None else block_sizes
         patience = max(1, int(alpha * max(1, min(sizes))))
 
         aux = self.aux
@@ -333,13 +415,14 @@ def fm_bipartition_refine(
     Parameters
     ----------
     g:
-        The search graph — the two blocks' subgraph, or a boundary band
-        plus its one-hop halo (Section 5.2's band refinement).
+        The search graph — a bisection, or the subgraph of two blocks.
+        (Pair refinement's boundary bands skip the graph and reach FM as
+        prepared lists, see :meth:`FMSearch.from_lists`.)
     side:
-        0/1 assignment for every node of ``g`` (halo nodes included).
+        0/1 assignment for every node of ``g``.
     movable:
-        Nodes eligible to move; defaults to all.  Halo nodes of a band
-        must be marked immovable.
+        Nodes eligible to move; defaults to all.  Context nodes that
+        only contribute gains (a band's halo) must be marked immovable.
     weight_a, weight_b:
         *Total* current block weights, including any mass outside ``g``
         (band mode).  Default: the side weights within ``g``.

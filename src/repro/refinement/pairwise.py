@@ -35,8 +35,13 @@ local iteration extracts the bands of all live pairs with one
 its band, and drops the pairs that did not change.  Block sizes come
 from one ``bincount`` per color, and gains and moves are booked in
 pair-major order, so the sums and tracer counters equal those of
-refining each pair to completion in turn.  The SPMD driver sends each
-partner exactly the band it refines.  Under the
+refining each pair to completion in turn.  FM runs on the band's
+prepared lists (:attr:`~repro.refinement.band.Band.fm`), never on a
+band subgraph, and the band seeds come from a candidate mask each
+driver keeps per level (the cut nodes when the level starts, plus every
+moved node and its neighbours) instead of a scan of all arcs.  The
+SPMD driver sends each partner exactly the band (plus halo) it refines
+and trades the FM results as band-node sides.  Under the
 mapping objective a pair's gain bias reads its third-block neighbours,
 whose blocks other pairs of the color change, so the sequential driver
 then takes the pairs of a color one at a time.
@@ -56,7 +61,7 @@ from ..core import metrics
 from ..instrument.tracer import NULL_TRACER
 from ..parallel.coloring import (coloring_to_matchings,
                                  distributed_edge_coloring)
-from .band import Band, extract_bands
+from .band import Band, add_candidates, cut_candidates, extract_bands
 from .fm import FMSearch
 
 __all__ = ["PairResult", "refine_pair", "pairwise_refinement",
@@ -75,7 +80,7 @@ class PairResult:
     gain: float
     imbalance_delta: float
     changed: List[Tuple[int, int]]  # (node, new block)
-    band_nodes: int
+    band_nodes: int        # FM-local band nodes (the halo not counted)
     boundary: int
     moves_tried: int = 0   # FM moves attempted by the seeded runs made here
     moves_applied: int = 0  # node moves surviving adoption (== len(changed))
@@ -98,15 +103,14 @@ def _mapping_bias(
     over one FM pass (each node moves at most once), so it is computed
     once per band here and handed to FM as ``gain_bias``.
     """
-    parents = band.smap.to_parent
-    bias = np.zeros(band.graph.n, dtype=np.float64)
-    for i in np.nonzero(band.movable)[0]:
-        v = int(parents[i])
+    bias = np.zeros(len(band.nodes), dtype=np.float64)
+    for i in np.flatnonzero(band.node_movable):
+        v = int(band.nodes[i])
         pw = part[g.neighbors(v)]
         third = (pw != a) & (pw != b)
         if not third.any():
             continue
-        s, t = (b, a) if band.side[i] else (a, b)
+        s, t = (b, a) if band.node_side[i] else (a, b)
         ws = g.incident_weights(v)[third]
         bias[i] = float(
             (ws * (dist[s, pw[third]] - dist[t, pw[third]])).sum()
@@ -149,7 +153,7 @@ def _constraint_setup(
 
 
 #: a search candidate: its ``(imbalance after, −gain)`` key and the
-#: band's 0/1 side vector it proposes
+#: 0/1 side it proposes for each band node (``Band.nodes``)
 Candidate = Tuple[Tuple[float, float], np.ndarray]
 
 
@@ -237,19 +241,21 @@ def _search_pair(
     pairs of one color class may run concurrently."""
     if algorithm not in ("fm", "flow", "fm_flow"):
         raise ValueError(f"unknown pair refinement algorithm {algorithm!r}")
-    if band.graph.n == 0 or band.graph.m == 0 or not band.movable.any():
+    # every band node lies within BFS reach of a seed, and a seed has a
+    # crossing arc, so a band with a movable node always has arcs
+    if not band.node_movable.any():
         return None
 
     wa, wb = float(block_w[a]), float(block_w[b])
     have_aux = aux_block_w is not None and g.n_constraints > 1
     if have_aux:
-        aux = band.graph.vwgts[:, 1:]
+        aux = g.vwgts[band.nodes, 1:]
         awa = aux_block_w[a].astype(np.float64, copy=True)
         awb = aux_block_w[b].astype(np.float64, copy=True)
         alim = np.asarray(aux_lmax, dtype=np.float64)
 
         def aux_after(new_side):
-            moved = band.movable & (new_side != band.side)
+            moved = band.node_movable & (new_side != band.node_side)
             d = aux[moved]
             to_b = new_side[moved] == 1
             gone_a = d[to_b].sum(axis=0)   # mass moving a → b
@@ -274,10 +280,10 @@ def _search_pair(
     out = _PairSearch(fm=[], flow=[], before_imb=pair_imbalance(wa, wb),
                       moves_tried=0)
     if algorithm in ("fm", "fm_flow"):
-        # the seeded runs share one list-native view of the band
-        search = FMSearch(band.graph, band.side, movable=band.movable,
-                          edge_scale=scale, gain_bias=bias,
-                          aux_weights=aux if have_aux else None)
+        # the seeded runs share the band's FM lists
+        search = FMSearch.from_lists(band.fm, edge_scale=scale,
+                                     gain_bias=bias,
+                                     aux_weights=aux if have_aux else None)
         for seed in seeds:
             res = search.run(
                 np.random.default_rng(seed),
@@ -299,6 +305,8 @@ def _search_pair(
         from .flow import flow_cut_for_band
         from .gain import cut_between_sides
 
+        # the flow refiner works on the band plus its halo (the halo is
+        # its terminals); only band nodes may change side
         flow_res = flow_cut_for_band(band)
         if flow_res is not None:
             value, flow_side = flow_res
@@ -308,6 +316,7 @@ def _search_pair(
             to_b = flow_side[moved_mask] == 1
             fwa = wa - float(delta[to_b].sum()) + float(delta[~to_b].sum())
             fwb = wb + float(delta[to_b].sum()) - float(delta[~to_b].sum())
+            flow_side = flow_side[band.graph_index]
             after_imb = pair_imbalance(fwa, fwb, flow_side)
             out.flow.append(((after_imb, value - cut_before), flow_side))
     return out
@@ -332,7 +341,7 @@ def _adopt(
     if search is None:
         return PairResult(0.0, 0.0, [], 0, band.n_boundary)
     candidates = (search.fm if fm is None else fm) + search.flow
-    unchanged = PairResult(0.0, 0.0, [], band.graph.n, band.n_boundary,
+    unchanged = PairResult(0.0, 0.0, [], len(band.nodes), band.n_boundary,
                            moves_tried=search.moves_tried)
     if not candidates:
         return unchanged
@@ -342,10 +351,11 @@ def _adopt(
 
     have_aux = aux_block_w is not None and g.n_constraints > 1
     changed: List[Tuple[int, int]] = []
-    flipped = np.nonzero(band.movable & (winner_side != band.side))[0]
-    for i in flipped:
-        v = int(band.smap.to_parent[i])
-        new_block = b if winner_side[i] == 1 else a
+    flipped = np.flatnonzero(band.node_movable
+                             & (winner_side != band.node_side))
+    for v, to_b in zip(band.nodes[flipped].tolist(),
+                       winner_side[flipped].tolist()):
+        new_block = b if to_b == 1 else a
         changed.append((v, new_block))
         block_w[part[v]] -= g.vwgt[v]
         block_w[new_block] += g.vwgt[v]
@@ -357,7 +367,7 @@ def _adopt(
         gain=-key[1],
         imbalance_delta=key[0] - search.before_imb,
         changed=changed,
-        band_nodes=band.graph.n,
+        band_nodes=len(band.nodes),
         boundary=band.n_boundary,
         moves_tried=search.moves_tried,
         moves_applied=len(changed),
@@ -420,6 +430,8 @@ def pairwise_refinement(
         g, part, k, epsilon, epsilons)
     block_w = metrics.block_weights(g, part, k)
     dist = None if topology is None else topology.distance_matrix()
+    # superset of the cut nodes: seeds the band extraction
+    near_cut = cut_candidates(g, part)
 
     no_change_streak = 0
     for git in range(max_global_iterations):
@@ -448,7 +460,7 @@ def pairwise_refinement(
                     if not live:
                         break
                     bands = extract_bands(g, part, [group[i] for i in live],
-                                          bfs_depth)
+                                          bfs_depth, candidates=near_cut)
                     still = []
                     for i, band in zip(live, bands):
                         a, b = group[i]
@@ -466,6 +478,8 @@ def pairwise_refinement(
                         )
                         logs[i].append(pr)
                         if pr.changed:
+                            add_candidates(g, near_cut,
+                                           [v for v, _ in pr.changed])
                             still.append(i)
                     live = still
                 # book in pair-major order, the accumulation order of
@@ -514,7 +528,7 @@ def _swap_fm_candidates(
         sides = np.concatenate([searches[i].fm[0][1] for i in idx])
         their_keys, their_sides = comm.sendrecv((keys, sides), partner,
                                                 tag=tag)
-        ends = np.cumsum([bands[i].graph.n for i in idx])
+        ends = np.cumsum([len(bands[i].nodes) for i in idx])
         for i, key, side in zip(idx, their_keys.tolist(),
                                 np.split(their_sides, ends[:-1])):
             theirs[i] = (tuple(key), side)
@@ -568,6 +582,8 @@ def pairwise_refinement_spmd(
         g, part, k, epsilon, epsilons)
     block_w = metrics.block_weights(g, part, k)
     dist = None if topology is None else topology.distance_matrix()
+    # superset of the cut nodes: seeds the band extraction
+    near_cut = cut_candidates(g, part)
 
     def owner(block: int) -> int:
         return block % p
@@ -611,7 +627,7 @@ def pairwise_refinement_spmd(
                 if not live:
                     break
                 bands = extract_bands(g, part, [p_["edge"] for p_ in live],
-                                      bfs_depth)
+                                      bfs_depth, candidates=near_cut)
                 for p_, band in zip(live, bands):
                     # exchange boundary bands (the communication the cost
                     # model must see — Figure 2's boundary exchange)
@@ -647,7 +663,10 @@ def pairwise_refinement_spmd(
                     pr = _adopt(g, part, block_w, *p_["edge"], band, search,
                                 aux_block_w, fm)
                     p_["log"].append(pr)
-                    if not pr.changed:
+                    if pr.changed:
+                        add_candidates(g, near_cut,
+                                       [v for v, _ in pr.changed])
+                    else:
                         p_["live"] = False
             # book moves in pair-major order — the exact accumulation
             # order of the unbatched loop, so the allgather payload below
@@ -671,6 +690,7 @@ def pairwise_refinement_spmd(
                             aux_block_w[part[v]] -= g.vwgts[v, 1:]
                             aux_block_w[nb] += g.vwgts[v, 1:]
                         part[v] = nb
+                add_candidates(g, near_cut, moves[:, 0])
             total_moved += sum(len(moves) for moves in all_updates)
         if stop_rule == "always":
             break

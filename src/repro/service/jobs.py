@@ -29,7 +29,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -361,9 +361,13 @@ class JobManager:
         # partition or the cache key
         result = execute_request(graph, request, tracer=tracer,
                                  observe=tracer is not None)
-        self.cache.put(key, result)
+        # cache and keep data only: the live KappaResult holds the
+        # request's Graph (via its Partition), which the cache budget
+        # does not charge; only the trace artifact reads it
+        data = replace(result, kappa=None)
+        self.cache.put(key, data)
         self._trace_artifact(job, result)
-        return result
+        return data
 
     def create_session(self, graph: Graph, request: PartitionRequest,
                        tenant: str = "anonymous",

@@ -27,15 +27,15 @@ GRAPHS = {
 
 #: (graph, k) -> (sim_time_s, per-PE clocks, cut)
 GOLDEN = {
-    ("rgg600", 2): (0.00046982730769230694,
-                    [0.00046982730769230694] * 2, 5.0),
-    ("rgg600", 4): (0.0010756196153846145,
-                    [0.0010756196153846145] * 4, 33.0),
-    ("delaunay600", 2): (0.000495340769230769,
-                         [0.000495340769230769,
-                          0.0004953161538461536], 92.0),
-    ("delaunay600", 4): (0.0009720396153846142,
-                         [0.0009720396153846142] * 4, 230.0),
+    ("rgg600", 2): (0.0004696596153846147,
+                    [0.0004696596153846147] * 2, 5.0),
+    ("rgg600", 4): (0.0010753719230769223,
+                    [0.0010753719230769223] * 4, 33.0),
+    ("delaunay600", 2): (0.000494994615384615,
+                         [0.000494994615384615,
+                          0.0004949699999999996], 92.0),
+    ("delaunay600", 4): (0.0009715457692307678,
+                         [0.0009715457692307678] * 4, 230.0),
 }
 
 #: (graph, k) -> makespan with ``byte_time_s=0``: only latencies and

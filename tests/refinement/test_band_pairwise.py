@@ -211,3 +211,51 @@ class TestSPMDEquivalence:
         )
         assert res.makespan > 0
         assert res.bytes_sent > 0  # band exchange really communicated
+
+
+class TestHotPathSubgraphs:
+    """Pair FM reads the band's lists; only readers of ``Band.graph``
+    (the SPMD band payload, the flow refiner) build a band subgraph."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        import repro.refinement.band as band_mod
+
+        built = []
+        original = band_mod.induced_subgraph
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(band_mod, "induced_subgraph", counted)
+        return built
+
+    def test_sequential_fast_partition_builds_no_band_subgraph(
+            self, monkeypatch, delaunay512):
+        from repro.core import FAST, KappaPartitioner
+
+        built = self._count_builds(monkeypatch)
+        res = KappaPartitioner(FAST).partition(delaunay512, 8, seed=3)
+        assert res.partition.cut > 0
+        assert built == []
+
+    def test_spmd_builds_one_payload_subgraph_per_live_pair(
+            self, monkeypatch):
+        import repro.refinement.pairwise as pairwise_mod
+
+        built = self._count_builds(monkeypatch)
+        extracted = []
+        original = pairwise_mod.extract_bands
+
+        def counted(*args, **kwargs):
+            bands = original(*args, **kwargs)
+            extracted.append(len(bands))
+            return bands
+
+        monkeypatch.setattr(pairwise_mod, "extract_bands", counted)
+        g = random_geometric_graph(400, seed=6)
+        part0 = np.random.default_rng(4).integers(0, 4, g.n)
+        get_engine("sequential", 2).run(
+            pairwise_refinement_spmd, g, part0, seed=2, k=4)
+        assert sum(extracted) > 0 and len(built) == sum(extracted)

@@ -1,5 +1,6 @@
 """Property tests: ``extract_band`` against a brute-force reference,
-and ``extract_bands`` against ``extract_band``.
+``extract_bands`` against ``extract_band``, the FM start state against
+a brute-force reference, and candidate-mask seeds against a full scan.
 
 The reference spells the band out node by node — the pair boundary,
 a plain BFS from it inside the (optionally ``within``-clipped) pair, the
@@ -7,7 +8,11 @@ one-hop halo, and the induced arcs sorted by (source, target) — on
 random small graphs with random block assignments, masks and fixed
 vertices.  The batch test checks that extracting the bands of several
 block-disjoint pairs in one call gives, pair for pair, exactly the band
-of extracting that pair alone.
+of extracting that pair alone.  The FM-state test checks the halo-free
+lists FM reads (node ids, sides, movability, gains over all pair arcs,
+start boundary, band-internal adjacency).  The candidate test moves
+random nodes, grows the candidate mask from the moves only, and checks
+that the bands seeded from it equal the bands of a full boundary scan.
 """
 
 from collections import deque
@@ -18,12 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.refinement.band import extract_band, extract_bands
+from repro.refinement.band import (
+    add_candidates,
+    cut_candidates,
+    extract_band,
+    extract_bands,
+)
 from tests.conftest import random_graphs
 
 
-def reference_band(g: Graph, part, a, b, depth, within, fixed):
-    """(selected nodes, sorted arcs, side, movable, n_boundary)."""
+def reference_bfs_band(g: Graph, part, a, b, depth, within):
+    """(band node set, pair boundary seeds) by a plain BFS."""
     nbrs = [[int(u) for u in g.neighbors(v)] for v in range(g.n)]
     in_pair = [int(p) in (a, b) for p in part]
     region = [in_pair[v] and (within is None or bool(within[v]))
@@ -42,7 +52,14 @@ def reference_band(g: Graph, part, a, b, depth, within, fixed):
             if region[u] and u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
-    band = set(dist)
+    return set(dist), seeds
+
+
+def reference_band(g: Graph, part, a, b, depth, within, fixed):
+    """(selected nodes, sorted arcs, side, movable, n_boundary)."""
+    nbrs = [[int(u) for u in g.neighbors(v)] for v in range(g.n)]
+    in_pair = [int(p) in (a, b) for p in part]
+    band, seeds = reference_bfs_band(g, part, a, b, depth, within)
     halo = {u for v in band for u in nbrs[v] if in_pair[u] and u not in band}
     selected = sorted(band | halo)
     sub = {v: i for i, v in enumerate(selected)}
@@ -139,3 +156,85 @@ def test_extract_bands_rejects_overlapping_pairs(grid8):
     with pytest.raises(ValueError, match="block-disjoint"):
         extract_bands(grid8, part, [(0, 1), (1, 2)], 2)
     assert extract_bands(grid8, part, [], 2) == []
+
+
+def reference_fm_state(g: Graph, part, a, b, depth, within, fixed):
+    """The FM start state of pair (a, b): band node ids, sides,
+    movability, gains over all pair arcs, start boundary (local ids),
+    band-internal arcs as (local source, local target, 2·w), and the
+    pair boundary size."""
+    band, seeds = reference_bfs_band(g, part, a, b, depth, within)
+    band = sorted(band)
+    in_pair = {v for v in range(g.n) if int(part[v]) in (a, b)}
+    local = {v: i for i, v in enumerate(band)}
+    side, gains, start, arcs = [], [], [], []
+    for i, v in enumerate(band):
+        rows = sorted(zip(g.neighbors(v).tolist(),
+                          g.incident_weights(v).tolist()))
+        gain, crossing = 0.0, False
+        for u, w in rows:
+            if u not in in_pair:
+                continue
+            if part[u] != part[v]:
+                gain += w
+                crossing = True
+            else:
+                gain -= w
+            if u in local:
+                arcs.append((i, local[u], 2.0 * w))
+        side.append(int(part[v] == b))
+        gains.append(gain)
+        if crossing and (fixed is None or fixed[v] < 0):
+            start.append(i)
+    movable = [fixed is None or bool(fixed[v] < 0) for v in band]
+    return band, side, movable, gains, start, arcs, len(seeds)
+
+
+def fm_arcs(fm):
+    return [(i, j, d) for i in range(len(fm.side))
+            for j, d in zip(fm.adjncy[fm.xadj[i]:fm.xadj[i + 1]],
+                            fm.delta[fm.xadj[i]:fm.xadj[i + 1]])]
+
+
+@given(case=batch_cases())
+@settings(max_examples=150, deadline=None)
+def test_fm_start_state_matches_brute_force(case):
+    g, part, within, depth, pairs = case
+    bands = extract_bands(g, part, pairs, depth, within=within)
+    for (a, b), band in zip(pairs, bands):
+        nodes, side, movable, gains, start, arcs, n_boundary = \
+            reference_fm_state(g, part, a, b, depth, within, g.fixed)
+        fm = band.fm
+        assert band.nodes.tolist() == nodes
+        assert band.node_side.tolist() == fm.side == side
+        assert band.node_movable.tolist() == fm.movable == movable
+        assert fm.gains == gains
+        assert fm.init == start
+        assert fm.vwgt == g.vwgt[nodes].tolist()
+        assert fm_arcs(fm) == arcs
+        assert band.n_boundary == n_boundary
+        # the lazily built band-plus-halo view places every band node
+        assert band.smap.to_parent[band.graph_index].tolist() == nodes
+
+
+@given(case=batch_cases(), moves=st.lists(
+    st.tuples(st.integers(0, 19), st.integers(0, 5)), max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_candidate_mask_seeds_equal_full_scan(case, moves):
+    g, part, within, depth, pairs = case
+    part = part.copy()
+    mask = cut_candidates(g, part)
+    for v, block in moves:
+        if v < g.n:
+            part[v] = block
+            add_candidates(g, mask, [v])
+    src = g.directed_sources()
+    cut_nodes = np.unique(src[part[src] != part[g.adjncy]])
+    assert mask[cut_nodes].all()
+    fast = extract_bands(g, part, pairs, depth, within=within,
+                         candidates=mask)
+    full = extract_bands(g, part, pairs, depth, within=within)
+    for got, want in zip(fast, full):
+        assert got.nodes.tolist() == want.nodes.tolist()
+        assert got.fm == want.fm
+        assert got.n_boundary == want.n_boundary
