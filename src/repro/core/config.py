@@ -123,9 +123,7 @@ class KappaConfig:
 
     # -- hot-path kernels (repro.kernels) ------------------------------
     #: backend for the registered hot-path kernels: "numpy" (vectorised,
-    #: the default), "python" (reference loops, bit-identical, slow) or
-    #: "numba" (JIT'd reference loops when numba is installed — the
-    #: ``repro[numba]`` extra — warn-once numpy fallback when it is not)
+    #: the default) or "python" (reference loops, bit-identical, slow)
     kernel_backend: str = "numpy"
 
     # -- observability (repro.instrument / repro.observability) --------

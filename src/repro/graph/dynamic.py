@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -158,6 +159,12 @@ class MutationBatch:
 
     @classmethod
     def from_json(cls, doc: Dict) -> "MutationBatch":
+        """Parse the :meth:`to_json` form.  Every malformed shape — an op
+        that is not a list, a vertex add that is not an object, a tuple
+        of the wrong arity, a non-numeric field — raises
+        :class:`MutationError`."""
+        if not isinstance(doc, dict):
+            raise MutationError("a mutation batch must be a JSON object")
         known = {"add_vertices", "insert_edges", "delete_edges",
                  "edge_weights", "vertex_weights", "remove_vertices"}
         unknown = set(doc) - known
@@ -165,24 +172,63 @@ class MutationBatch:
             raise MutationError(f"unknown mutation op(s) {sorted(unknown)}; "
                                 f"known: {sorted(known)}")
         return cls(
-            add_vertices=[
-                VertexAdd(weight=float(a.get("weight", 1.0)),
-                          vid=(int(a["v"]) if "v" in a and a["v"] is not None
-                               else None),
-                          coords=(tuple(float(c) for c in a["coords"])
-                                  if a.get("coords") is not None else None))
-                for a in doc.get("add_vertices", [])
-            ],
-            insert_edges=[(int(u), int(v), float(w))
-                          for u, v, w in doc.get("insert_edges", [])],
-            delete_edges=[(int(u), int(v))
-                          for u, v in doc.get("delete_edges", [])],
-            edge_weights=[(int(u), int(v), float(w))
-                          for u, v, w in doc.get("edge_weights", [])],
-            vertex_weights=[(int(v), float(w))
-                            for v, w in doc.get("vertex_weights", [])],
-            remove_vertices=[int(v) for v in doc.get("remove_vertices", [])],
+            add_vertices=[_vertex_add(a)
+                          for a in _op_list(doc, "add_vertices")],
+            insert_edges=_tuples(doc, "insert_edges", (_vid, _vid, _num)),
+            delete_edges=_tuples(doc, "delete_edges", (_vid, _vid)),
+            edge_weights=_tuples(doc, "edge_weights", (_vid, _vid, _num)),
+            vertex_weights=_tuples(doc, "vertex_weights", (_vid, _num)),
+            remove_vertices=[_vid(v)
+                             for v in _op_list(doc, "remove_vertices")],
         )
+
+
+def _op_list(doc: Dict, op: str) -> list:
+    items = doc.get(op, [])
+    if not isinstance(items, (list, tuple)):
+        raise MutationError(f"{op!r} must be a list")
+    return list(items)
+
+
+def _num(x) -> float:
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise MutationError(f"expected a number, got {x!r}")
+
+
+def _vid(x) -> int:
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise MutationError(f"expected a vertex id, got {x!r}")
+
+
+def _tuples(doc: Dict, op: str, fields) -> list:
+    out = []
+    for item in _op_list(doc, op):
+        if not isinstance(item, (list, tuple)) or len(item) != len(fields):
+            raise MutationError(
+                f"each {op!r} entry must be a list of {len(fields)} "
+                f"numbers, got {item!r}")
+        out.append(tuple(f(x) for f, x in zip(fields, item)))
+    return out
+
+
+def _vertex_add(a) -> VertexAdd:
+    if not isinstance(a, dict):
+        raise MutationError(
+            f"each 'add_vertices' entry must be an object, got {a!r}")
+    coords = a.get("coords")
+    if coords is not None and not isinstance(coords, (list, tuple)):
+        raise MutationError(f"'coords' must be a list, got {coords!r}")
+    return VertexAdd(
+        weight=_num(a.get("weight", 1.0)),
+        vid=_vid(a["v"]) if a.get("v") is not None else None,
+        coords=tuple(_num(c) for c in coords) if coords is not None else None)
 
 
 @dataclass

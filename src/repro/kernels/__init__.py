@@ -12,14 +12,12 @@ kernel             computes
 ``band_bfs``       §5.2 bounded BFS for boundary-band extraction
 =================  ====================================================
 
-Backends: ``python`` (reference per-node loops), ``numpy`` (vectorised,
-the default) and ``numba`` (the reference loops JIT-compiled with
-``nogil=True`` when numba is installed; a warn-once numpy delegation
-when it is not) — bit-identical by construction and by the differential
-test suite.  Select the process default via :func:`set_backend`, a
-block of code via :func:`use_backend` (context-local, so concurrent runs
-on different threads stay apart), per run via
-``KappaConfig.kernel_backend``, or on the command line via
+Backends: ``python`` (reference per-node loops) and ``numpy``
+(vectorised, the default) — bit-identical by construction and by the
+differential test suite.  Select the process default via
+:func:`set_backend`, a block of code via :func:`use_backend`
+(context-local, so concurrent runs on different threads stay apart),
+per run via ``KappaConfig.kernel_backend``, or on the command line via
 ``--kernel-backend``.  Install a tracer with :func:`use_tracer` to
 surface per-kernel call counts and wall time in ``--trace`` output.
 """
@@ -41,13 +39,15 @@ from .registry import (
 # importing the backend modules registers every kernel implementation
 from . import python_backend  # noqa: F401  (registration side effect)
 from . import numpy_backend   # noqa: F401  (registration side effect)
-from . import numba_backend   # noqa: F401  (registration side effect)
-from .numba_backend import NUMBA_AVAILABLE
+
+# There is no JIT backend.  The constant stays only because the
+# benchmark's provenance record (perfbench/common.py) still reads it;
+# it goes once the benchmark stops doing so.
+NUMBA_AVAILABLE = False
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "NUMBA_AVAILABLE",
     "dispatch",
     "get_backend",
     "get_kernel",

@@ -4,8 +4,8 @@ Each kernel is the segment-reduce / bincount formulation of its
 reference loop in :mod:`repro.kernels.python_backend`, accumulating
 floats in the same order (sequential in arc order) so results are
 bit-identical.  These are the production backend
-(``KappaConfig.kernel_backend = "numpy"``); the benchmark harness
-``benchmarks/bench_kernels.py`` tracks their speedup over the reference.
+(``KappaConfig.kernel_backend = "numpy"``); perfbench's ``--trace 1``
+records report their per-kernel calls and time (``kernels.<name>.s``).
 """
 
 from __future__ import annotations

@@ -8,10 +8,7 @@ here under interchangeable backends:
 * ``python`` — straight-line per-node/per-edge reference loops, the
   executable specification of each kernel;
 * ``numpy``  — vectorised equivalents over the CSR arrays
-  (bincount / segment-reduce idioms), bit-identical to the reference;
-* ``numba``  — the reference loops compiled with ``@njit(nogil=True)``
-  when numba is installed, a warn-once delegation to ``numpy`` when it
-  is not (numba is an optional dependency, ``repro[numba]``).
+  (bincount / segment-reduce idioms), bit-identical to the reference.
 
 Call sites go through :func:`dispatch`, which resolves the active
 backend (see :func:`set_backend` / :func:`use_backend`) and, when a live
@@ -57,7 +54,7 @@ __all__ = [
 ]
 
 #: the interchangeable implementations of every kernel
-BACKENDS: Tuple[str, ...] = ("python", "numpy", "numba")
+BACKENDS: Tuple[str, ...] = ("python", "numpy")
 
 #: the fast path is the default; ``python`` is the reference/debug path
 DEFAULT_BACKEND: str = "numpy"

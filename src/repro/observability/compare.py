@@ -1,18 +1,21 @@
-"""Run-to-run comparison: trace files, run journals, BENCH_*.json.
+"""Run-to-run comparison: trace files, run journals, analysis and
+benchmark records.
 
 ``python -m repro compare BASE NEW`` loads two documents of the same
-kind — trace JSON (either schema version), a JSONL run journal, or a
-``BENCH_kernels.json``/``BENCH_service.json`` benchmark file — extracts
-the comparable scalar metrics from each, and flags every metric whose
-relative change exceeds a threshold *in the bad direction*.  Direction
-is metric-aware: times, byte/message volumes and cut sizes regress
-upward; speedups regress downward.
+kind — trace JSON (any schema version), a JSONL run journal, a
+``repro.analysis/1`` document or a ``repro.bench*`` record such as
+``BENCH_objectives.json`` — extracts the comparable scalar metrics from
+each, and flags every metric whose relative change exceeds a threshold
+*in the bad direction*.  Direction is metric-aware: times, byte/message
+volumes and cut sizes regress upward; speedups and throughput regress
+downward.
 
-CI wires this in as a non-blocking check against the committed BENCH
-files: a flagged regression annotates the run without failing it (perf
-on shared runners is noisy), while ``--require-provenance`` *does* fail
-hard when the freshly generated file lacks the ``git_sha``/``timestamp``
-provenance meta — numbers without provenance cannot be trended.
+CI wires this in as a non-blocking check against the committed
+``BASELINE_analysis.json``: a flagged regression annotates the run
+without failing it (perf on shared runners is noisy), while
+``--require-provenance`` *does* fail hard when the new file lacks the
+``git_sha``/``timestamp`` provenance meta — numbers without provenance
+cannot be trended.
 """
 
 from __future__ import annotations
@@ -206,26 +209,11 @@ def _bench_metrics(doc: Dict[str, Any]) -> Dict[str, float]:
     out: Dict[str, float] = {}
     schema = doc.get("schema", "")
     for rec in doc.get("records") or []:
-        if "kernel" in rec:  # bench_kernels rows
-            key = f"{rec.get('graph', '?')}.{rec['kernel']}." \
-                  f"{rec.get('backend', '?')}"
-            if rec.get("median_s") is not None:
-                out[f"{key}.median_s"] = float(rec["median_s"])
-            if rec.get("speedup") is not None:
-                out[f"{key}.speedup"] = float(rec["speedup"])
-        elif "objective" in rec:  # bench_objectives rows
+        if "objective" in rec:  # bench_objectives rows
             key = f"{rec.get('graph', '?')}.{rec['objective']}"
             for name in ("cut", "mapping_cost", "max_imbalance", "wall_s"):
                 if rec.get(name) is not None:
                     out[f"{key}.{name}"] = float(rec[name])
-        elif "scenario" in rec:  # bench_service rows
-            key = f"service.{rec['scenario']}"
-            for name, value in rec.items():
-                if name != "scenario" and _is_number(value):
-                    out[f"{key}.{name}"] = float(value)
-    for name in ("cached_speedup", "cache_hit_ratio"):  # bench_service
-        if _is_number(doc.get(name)):
-            out[name] = float(doc[name])
     if not out:
         # an unrecognised bench schema still compares generically: every
         # numeric field, per record and top-level (new BENCH files must

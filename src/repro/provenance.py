@@ -1,8 +1,8 @@
 """Build/run provenance for benchmark artifacts.
 
 Every benchmark JSON document records *which code* produced it and
-*when*: without the commit hash, two ``BENCH_*.json`` files from
-different branches are indistinguishable, and regressions cannot be
+*when*: without the commit hash, two benchmark records from different
+branches are indistinguishable, and regressions cannot be
 bisected from the artifacts alone.  Kept dependency-free (subprocess
 only) and failure-proof: outside a git checkout — e.g. running from an
 sdist or a copied directory — ``git_sha()`` degrades to ``None`` rather

@@ -13,7 +13,10 @@ A service request names its graph in one of three ways, all JSON:
   session (PATCH workloads; resolved by the job layer, not here).
 
 ``resolve_graph`` returns the :class:`~repro.graph.csr.Graph` plus a
-short human-readable description used in job listings.
+short human-readable description used in job listings.  It runs in the
+HTTP handler thread, before admission control, so a generator spec is
+checked against fixed size bounds before any generator runs: a tiny
+body must not be able to ask for a huge graph.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from typing import Any, Dict, Tuple
 from ..graph.csr import Graph
 from ..graph.io import read_metis, write_metis
 
-__all__ = ["GENERATORS", "GraphSpecError", "resolve_graph", "graph_to_spec"]
+__all__ = ["GENERATORS", "MAX_NODES", "MAX_EDGES", "GraphSpecError",
+           "resolve_graph", "graph_to_spec"]
 
 #: family -> (generator function name in :mod:`repro.generators`, defaults);
 #: shared with the ``repro generate`` CLI subcommand
@@ -38,9 +42,41 @@ GENERATORS: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "rmat": ("rmat_graph", {"scale": 12, "edge_factor": 8, "seed": 0}),
 }
 
+#: largest nominal node and edge count a generator spec may ask for
+MAX_NODES = 2**20
+MAX_EDGES = 2**24
+
+#: family -> its size parameters (every one must be >= 1)
+_SIZE_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "rgg": ("n",),
+    "delaunay": ("n",),
+    "grid": ("rows", "cols"),
+    "grid3d": ("nx", "ny", "nz"),
+    "road": ("n", "n_cities"),
+    "social": ("n", "m_per_node"),
+    "rmat": ("scale", "edge_factor"),
+}
+
 
 class GraphSpecError(ValueError):
     """The request's graph spec is malformed (client error → 400)."""
+
+
+def _nominal_size(family: str, p: Dict[str, int]) -> Tuple[int, int]:
+    """The (nodes, edges) a generator spec asks for, computed from its
+    parameters alone; families whose edge count follows from the node
+    count report 0 edges."""
+    if family == "grid":
+        return p["rows"] * p["cols"], 0
+    if family == "grid3d":
+        return p["nx"] * p["ny"] * p["nz"], 0
+    if family == "rmat":
+        # capped so a huge scale is not materialised; it fails the bound
+        n = 2 ** min(p["scale"], MAX_NODES.bit_length())
+        return n, n * p["edge_factor"]
+    if family == "social":
+        return p["n"], p["n"] * p["m_per_node"]
+    return p["n"], 0
 
 
 def resolve_graph(spec: Any) -> Tuple[Graph, str]:
@@ -68,7 +104,7 @@ def resolve_graph(spec: Any) -> Tuple[Graph, str]:
     if not isinstance(gen, dict) or "family" not in gen:
         raise GraphSpecError("'generator' must be an object with a 'family'")
     family = gen["family"]
-    if family not in GENERATORS:
+    if not isinstance(family, str) or family not in GENERATORS:
         raise GraphSpecError(
             f"unknown generator family {family!r}; "
             f"known: {sorted(GENERATORS)}")
@@ -84,12 +120,25 @@ def resolve_graph(spec: Any) -> Tuple[Graph, str]:
                 f"(known: {sorted(params)})")
         try:
             params[name] = type(defaults[name])(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise GraphSpecError(
                 f"bad value {value!r} for parameter {name!r}") from None
+    for name in _SIZE_PARAMS[family]:
+        if params[name] < 1:
+            raise GraphSpecError(
+                f"parameter {name!r} must be >= 1, got {params[name]}")
+    nodes, edges = _nominal_size(family, params)
+    if nodes > MAX_NODES or edges > MAX_EDGES:
+        raise GraphSpecError(
+            f"{family!r} spec is too large: at most {MAX_NODES} nodes "
+            f"and {MAX_EDGES} edges")
     from .. import generators
 
-    g = getattr(generators, fn_name)(**params)
+    try:
+        g = getattr(generators, fn_name)(**params)
+    except (TypeError, ValueError) as exc:
+        raise GraphSpecError(
+            f"cannot generate {family!r} graph: {exc}") from None
     pretty = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
     return g, f"{family}({pretty})"
 

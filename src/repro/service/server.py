@@ -309,6 +309,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             request = PartitionRequest.from_json(body)
             graph, detail = resolve_graph(body.get("graph"))
+            if request.k > graph.n:
+                raise RequestError(
+                    f"k={request.k} exceeds the graph's {graph.n} nodes")
             manager = self.server.manager
             rid = getattr(self, "_request_id", None)
             if hold_session:

@@ -158,6 +158,16 @@ class TestParser:
         assert "invalid choice: 'threads'" in err
         assert "Traceback" not in err
 
+    def test_retired_jit_kernel_backend_is_an_argparse_error(self, capsys):
+        # the JIT backend is gone; naming it no longer falls back to numpy
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "g.metis", "-k", "2",
+                  "--kernel-backend", "numba"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numba'" in err
+        assert "Traceback" not in err
+
 
 class TestListFlags:
     def test_list_engines(self, capsys):
@@ -186,7 +196,8 @@ class TestListFlags:
         rc = main(["--list-kernel-backends"])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "python" in text and "numpy" in text and "numba" in text
+        listed = [line.split()[0] for line in text.splitlines()[1:]]
+        assert listed == ["python", "numpy"]
         assert "(default)" in text
 
     def test_list_flags_need_no_subcommand(self, capsys):

@@ -150,6 +150,12 @@ class TestObjectiveConfig:
         with pytest.raises(ValueError, match="objective"):
             KappaConfig(objective="conductance")
 
+    def test_retired_jit_kernel_backend_rejected(self):
+        # the JIT backend is gone; naming it no longer falls back to numpy
+        with pytest.raises(ValueError,
+                           match=r"\('python', 'numpy'\)"):
+            KappaConfig(kernel_backend="numba")
+
     def test_mapping_requires_fm(self):
         with pytest.raises(ValueError, match="requires refine_algorithm"):
             KappaConfig(objective="mapping", refine_algorithm="fm_flow")

@@ -1,4 +1,5 @@
-"""`repro compare` on bench_service documents + unknown-schema fallback."""
+"""`repro compare` on load-test shaped bench documents, which take the
+generic numeric-field path, + the unknown-schema fallback."""
 
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from repro.observability.compare import (
 def _service_doc(p50: float, throughput: float, speedup: float,
                  hit_ratio: float = 0.5) -> dict:
     return {
-        "schema": "repro.bench_service/1",
+        "schema": "repro.bench_load/1",
         "meta": {"git_sha": "abc", "timestamp": "2026-01-01T00:00:00Z"},
         "records": [
-            {"scenario": "scratch", "requests": 8, "errors": 0,
+            {"name": "scratch", "requests": 8, "errors": 0,
              "wall_s": 2.0, "throughput_rps": throughput,
              "latency_p50_s": p50, "latency_p95_s": p50 * 2,
              "cache_hits": 0},
@@ -35,8 +36,8 @@ def test_service_records_extracted_and_compared():
     new = _service_doc(p50=0.1, throughput=10.0, speedup=5.0)
     cmp = compare_documents("bench", base, new)
     names = {d.metric for d in cmp.deltas}
-    assert "service.scratch.latency_p50_s" in names
-    assert "service.scratch.throughput_rps" in names
+    assert "scratch.latency_p50_s" in names
+    assert "scratch.throughput_rps" in names
     assert "cached_speedup" in names
     assert "cache_hit_ratio" in names
     assert cmp.ok
@@ -48,8 +49,8 @@ def test_latency_regresses_upward():
         _service_doc(p50=0.1, throughput=10.0, speedup=5.0),
         _service_doc(p50=0.2, throughput=10.0, speedup=5.0))
     bad = [d.metric for d in cmp.regressions]
-    assert "service.scratch.latency_p50_s" in bad
-    assert "service.scratch.latency_p95_s" in bad
+    assert "scratch.latency_p50_s" in bad
+    assert "scratch.latency_p95_s" in bad
 
 
 def test_throughput_and_speedup_regress_downward():
@@ -60,7 +61,7 @@ def test_throughput_and_speedup_regress_downward():
         _service_doc(p50=0.1, throughput=10.0, speedup=5.0, hit_ratio=0.9),
         _service_doc(p50=0.1, throughput=4.0, speedup=1.5, hit_ratio=0.2))
     bad = {d.metric for d in cmp.regressions}
-    assert "service.scratch.throughput_rps" in bad
+    assert "scratch.throughput_rps" in bad
     assert "cached_speedup" in bad
     assert "cache_hit_ratio" in bad
     # ... and an *increase* is not a regression
@@ -74,12 +75,12 @@ def test_throughput_and_speedup_regress_downward():
 def test_missing_metric_in_baseline_is_informational():
     base = _service_doc(p50=0.1, throughput=10.0, speedup=5.0)
     new = _service_doc(p50=0.1, throughput=10.0, speedup=5.0)
-    new["records"].append({"scenario": "incremental", "requests": 4,
+    new["records"].append({"name": "incremental", "requests": 4,
                            "errors": 0, "wall_s": 1.0,
                            "latency_p50_s": 0.05})
     cmp = compare_documents("bench", base, new)
     assert cmp.ok  # brand-new metrics never fail the comparison
-    assert "service.incremental.latency_p50_s" in cmp.only_new
+    assert "incremental.latency_p50_s" in cmp.only_new
     text = format_comparison(cmp)
     assert "[new]" in text and "REGRESSION" not in text
 
@@ -105,8 +106,8 @@ def test_truly_empty_bench_still_errors():
 
 
 def test_compare_files_service_end_to_end(tmp_path):
-    base_path = tmp_path / "BENCH_service.json"
-    new_path = tmp_path / "BENCH_service.new.json"
+    base_path = tmp_path / "BENCH_load.json"
+    new_path = tmp_path / "BENCH_load.new.json"
     base_path.write_text(json.dumps(
         _service_doc(p50=0.1, throughput=10.0, speedup=5.0)))
     new_path.write_text(json.dumps(

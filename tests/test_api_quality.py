@@ -61,7 +61,6 @@ MODULES = [
     "repro.kernels.registry",
     "repro.kernels.python_backend",
     "repro.kernels.numpy_backend",
-    "repro.kernels.numba_backend",
     "repro.resilience",
     "repro.resilience.faults",
     "repro.resilience.checkpoint",

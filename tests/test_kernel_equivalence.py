@@ -1,19 +1,15 @@
 """Differential equivalence tests for the hot-path kernel backends.
 
 Every kernel registered in :mod:`repro.kernels` ships a ``python``
-reference implementation, a vectorised ``numpy`` one and a ``numba``
-one (JIT replicas of the reference loops; a warn-once delegation to
-numpy when numba is not installed).  These tests assert all backends
-are **bit-identical** — same ratings, same contracted CSR, same gains
-and boundary sets, same band levels — on hypothesis-generated graphs
-and on the generator families, and that whole pipeline runs are
-deterministic and backend-independent (fixed seed ⇒ identical partition
-vector and edge cut).  The JIT-specific assertions skip cleanly when
-numba is unavailable; the fallback path is covered either way.
+reference implementation and a vectorised ``numpy`` one.  These tests
+assert both backends are **bit-identical** — same ratings, same
+contracted CSR, same gains and boundary sets, same band levels — on
+hypothesis-generated graphs and on the generator families, and that
+whole pipeline runs are deterministic and backend-independent (fixed
+seed ⇒ identical partition vector and edge cut).
 """
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +21,6 @@ from repro.coarsening.matching import dispatch as run_matching
 from repro.core import FAST, KappaPartitioner
 from repro.engine import get_engine
 from repro.instrument import Tracer
-from repro.kernels import numba_backend
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
 from repro.kernels.python_backend import RATING_NAMES
 from repro.refinement.band import extract_band
 from tests.conftest import random_graphs
@@ -36,10 +30,8 @@ KERNEL_NAMES = ("band_bfs", "contract_edges", "edge_ratings", "gain_boundary")
 
 def run_all(name, *args):
     """One call per registered backend, in ``BACKENDS`` order."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return tuple(kernels.get_kernel(name, backend)(*args)
-                     for backend in kernels.BACKENDS)
+    return tuple(kernels.get_kernel(name, backend)(*args)
+                 for backend in kernels.BACKENDS)
 
 
 def coarse_map_of(g, seed):
@@ -56,30 +48,10 @@ def coarse_map_of(g, seed):
 class TestRegistry:
     def test_all_kernels_have_every_backend(self):
         assert kernels.kernel_names() == KERNEL_NAMES
-        assert "numba" in kernels.BACKENDS
+        assert kernels.BACKENDS == ("python", "numpy")
         for name in KERNEL_NAMES:
             for backend in kernels.BACKENDS:
                 assert callable(kernels.get_kernel(name, backend))
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE,
-                        reason="fallback path only exists without numba")
-    def test_numba_fallback_warns_once_not_errors(self, rgg128,
-                                                  monkeypatch):
-        """Without numba the backend still registers all four kernels and
-        the first call emits a single RuntimeWarning — never an error."""
-        monkeypatch.setattr(numba_backend, "_FALLBACK_WARNED", False)
-        us, vs, ws = rgg128.edge_array()
-        side = np.zeros(rgg128.n, dtype=np.int64)
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            kernels.get_kernel("edge_ratings", "numba")(
-                rgg128, us, vs, ws, "weight")
-            kernels.get_kernel("gain_boundary", "numba")(rgg128, side)
-        hits = [w for w in wlist
-                if issubclass(w.category, RuntimeWarning)
-                and "numba" in str(w.message)]
-        assert len(hits) == 1
-        assert "repro[numba]" in str(hits[0].message)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -252,11 +224,9 @@ class TestGainBoundaryEquivalence:
         """Defaulted extras are the bit-identical classic path."""
         side = (np.arange(rgg128.n) % 2).astype(np.int8)
         for backend in kernels.BACKENDS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                fn = kernels.get_kernel("gain_boundary", backend)
-                gains_a, bnd_a = fn(rgg128, side)
-                gains_b, bnd_b = fn(rgg128, side, 1.0, None)
+            fn = kernels.get_kernel("gain_boundary", backend)
+            gains_a, bnd_a = fn(rgg128, side)
+            gains_b, bnd_b = fn(rgg128, side, 1.0, None)
             assert np.array_equal(gains_a, gains_b)
             assert np.array_equal(bnd_a, bnd_b)
 
@@ -304,13 +274,10 @@ class TestBandBFSEquivalence:
         part = (np.arange(delaunay300.n) >= delaunay300.n // 2).astype(
             np.int64)
         bands = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for backend in kernels.BACKENDS:
-                with kernels.use_backend(backend):
-                    band, pair = extract_band(delaunay300, part, 0, 1,
-                                              depth)
-                bands.append((band, pair))
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                band, pair = extract_band(delaunay300, part, 0, 1, depth)
+            bands.append((band, pair))
         (b_ref, p_ref), *rest = bands
         for b_fast, p_fast in rest:
             assert b_ref.graph == b_fast.graph
@@ -336,13 +303,11 @@ class TestGoldenDeterminism:
     def test_backends_and_reruns_agree(self, golden_graphs, family, k):
         g = golden_graphs[family]
         runs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            # repeat the default backend to cover rerun determinism too
-            for backend in ("python", "numpy", "numba", "numpy"):
-                cfg = FAST.derive(kernel_backend=backend)
-                res = KappaPartitioner(cfg).partition(g, k, seed=self.SEED)
-                runs.append((res.cut, res.partition.part))
+        # repeat the default backend to cover rerun determinism too
+        for backend in ("python", "numpy", "numpy"):
+            cfg = FAST.derive(kernel_backend=backend)
+            res = KappaPartitioner(cfg).partition(g, k, seed=self.SEED)
+            runs.append((res.cut, res.partition.part))
         cut0, part0 = runs[0]
         for cut, part in runs[1:]:
             assert cut == cut0
@@ -364,14 +329,12 @@ class TestGoldenDeterminism:
         g = Graph(base.xadj, base.adjncy, base.adjwgt, base.vwgt,
                   coords=base.coords, vwgts=vwgts, fixed=fixed)
         runs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for backend in ("python", "numpy", "numba"):
-                cfg = FAST.derive(kernel_backend=backend,
-                                  objective="mapping", topology="2:4",
-                                  epsilons=(0.03, 0.25))
-                res = KappaPartitioner(cfg).partition(g, 8, seed=self.SEED)
-                runs.append((res.cut, res.partition.part))
+        for backend in kernels.BACKENDS:
+            cfg = FAST.derive(kernel_backend=backend,
+                              objective="mapping", topology="2:4",
+                              epsilons=(0.03, 0.25))
+            res = KappaPartitioner(cfg).partition(g, 8, seed=self.SEED)
+            runs.append((res.cut, res.partition.part))
         cut0, part0 = runs[0]
         for cut, part in runs[1:]:
             assert cut == cut0
