@@ -13,7 +13,7 @@ Run:  python examples/adaptive_repartitioning.py
 import numpy as np
 
 from repro import FAST, partition_graph
-from repro.core import metrics, repartition
+from repro.core import incremental_repartition, metrics
 from repro.generators import graded_mesh
 from repro.graph import Graph
 
@@ -41,7 +41,9 @@ def main() -> None:
         center = rng.random(2)
         g = refine_hotspot(g, center, radius=0.18)
         feasible = metrics.is_balanced(g, part, k, 0.03)
-        rep = repartition(g, part, k, config=FAST, seed=step)
+        # every node counts as dirty: weights changed all over the mesh
+        rep = incremental_repartition(g, part, k, np.arange(g.n),
+                                      config=FAST, seed=step)
         part = rep.partition.part
         total_migrated += rep.migration_fraction
         print(f"t={step}: hotspot at ({center[0]:.2f},{center[1]:.2f}) "

@@ -12,7 +12,3 @@ __all__ = [
     "batched_kway_round",
     "scotch_like_partition",
 ]
-
-from .diffusion import diffusion_partition
-
-__all__ += ["diffusion_partition"]

@@ -43,10 +43,6 @@ from .partitioner import KappaPartitioner, KappaResult, partition_graph
 
 __all__ += ["KappaPartitioner", "KappaResult", "partition_graph"]
 
-from .repartition import RepartitionResult, repartition
-
-__all__ += ["RepartitionResult", "repartition"]
-
 from .incremental import (
     IncrementalResult,
     IncrementalSession,

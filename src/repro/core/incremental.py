@@ -1,21 +1,26 @@
-"""Incremental repartitioning over dynamic graphs (paper Section 8).
+"""Repartitioning from an old partition (paper Section 8 outlook).
 
-:func:`repro.core.repartition.repartition` implements the *static* half
-of the Section 8 repartitioning outlook: reuse an old assignment on a
-replaced graph.  This module adds the *dynamic* half for mutation
-streams (:mod:`repro.graph.dynamic`): after a :class:`MutationBatch` is
-applied, only the region around the mutated nodes can have a wrong
-assignment, so instead of repartitioning from scratch we
+"There will also be further issues when KaPPa is generalized for graph
+clustering, hypergraph partitioning, or repartitioning."
+
+Whenever a graph changes under a partition — node weights grow in an
+adaptive simulation, or a :class:`MutationBatch` of
+:mod:`repro.graph.dynamic` inserts and deletes nodes and edges —
+recomputing the partition from scratch both wastes time and *migrates*
+data arbitrarily.  :func:`incremental_repartition` adapts the old
+assignment instead:
 
 1. **seed** the new graph with the previous partition (ids are stable
    across batches — tombstones keep slots, additions append),
-2. assign **newly added vertices** to the majority block of their
-   neighbours (weighted by edge weight; lightest block when isolated),
-3. **rebalance** if the mutations broke the balance constraint,
-4. run **boundary-band FM** — the paper's pairwise refinement
-   (:func:`~repro.refinement.pairwise.refine_pair`, over the existing
-   ``band_bfs`` kernel) — restricted to a BFS band of configurable width
-   around the dirty nodes, so clean regions are never touched, and
+2. assign **newly added vertices** (and out-of-range block ids) to the
+   majority block of their neighbours (weighted by edge weight;
+   lightest block when isolated),
+3. **rebalance** if the changes broke the balance constraint,
+4. run the paper's **pairwise refinement**
+   (:func:`~repro.refinement.pairwise.pairwise_refinement`) confined to
+   a BFS band of configurable width around the dirty nodes, so clean
+   regions are never touched — with every node dirty this is a plain
+   repartitioning of a changed graph, and
 5. **fall back** to full multilevel partitioning when quality has
    drifted: cut above ``(1 + drift_threshold) ×`` the last full run's
    cut, or infeasible balance that band-local moves cannot repair.
@@ -41,7 +46,7 @@ from ..graph.csr import Graph
 from ..kernels import dispatch
 from ..observability import MetricsRegistry
 from ..refinement.balance import rebalance
-from ..refinement.pairwise import _pair_seed, refine_pair
+from ..refinement.pairwise import pairwise_refinement
 from . import metrics
 from .config import FAST, KappaConfig
 from .partition import Partition
@@ -129,64 +134,6 @@ def dirty_band_mask(g: Graph, dirty_nodes: np.ndarray,
     return level >= 0
 
 
-def _band_refinement(g: Graph, part: np.ndarray, k: int,
-                     band: np.ndarray, config: KappaConfig,
-                     seed: int) -> np.ndarray:
-    """Pairwise boundary refinement restricted to the dirty band.
-
-    The loop structure mirrors
-    :func:`~repro.refinement.pairwise.pairwise_refinement`, but only
-    block pairs whose cut touches the band are scheduled, and every
-    :func:`refine_pair` call carries ``within=band`` so no move leaves
-    the band.
-    """
-    part = np.asarray(part, dtype=np.int64).copy()
-    if k <= 1 or not band.any():
-        return part
-    lmax = metrics.lmax(g, k, config.epsilon)
-    block_w = metrics.block_weights(g, part, k)
-    src = g.directed_sources()
-
-    no_change_streak = 0
-    for git in range(config.max_global_iterations):
-        cross = part[src] != part[g.adjncy]
-        touching = cross & (band[src] | band[g.adjncy])
-        if not touching.any():
-            break
-        pa = part[src[touching]]
-        pb = part[g.adjncy[touching]]
-        pairs = sorted(set(zip(np.minimum(pa, pb).tolist(),
-                               np.maximum(pa, pb).tolist())))
-        total_gain, total_moved = 0.0, 0
-        for a, b in pairs:
-            sizes = (int((part == a).sum()), int((part == b).sum()))
-            for lit in range(config.local_iterations):
-                pr = refine_pair(
-                    g, part, block_w, a, b, lmax,
-                    config.bfs_band_depth, config.fm_alpha,
-                    config.queue_selection,
-                    _pair_seed(seed, git, lit, a, b, 0),
-                    _pair_seed(seed, git, lit, a, b, 1),
-                    sizes,
-                    algorithm=config.refine_algorithm,
-                    within=band,
-                )
-                total_gain += pr.gain
-                total_moved += len(pr.changed)
-                if not pr.changed:
-                    break
-        if config.stop_rule == "always":
-            break
-        if total_gain <= 1e-12 and total_moved == 0:
-            no_change_streak += 1
-            needed = 2 if config.stop_rule == "twice_no_change" else 1
-            if no_change_streak >= needed:
-                break
-        else:
-            no_change_streak = 0
-    return part
-
-
 def incremental_repartition(
     g: Graph,
     old_part: np.ndarray,
@@ -197,8 +144,12 @@ def incremental_repartition(
     reference_cut: Optional[float] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> IncrementalResult:
-    """Adapt ``old_part`` to the mutated graph ``g``, re-refining only a
-    band around ``dirty_nodes``.
+    """Adapt ``old_part`` to the changed graph ``g``, re-refining only a
+    band around ``dirty_nodes`` (``np.arange(g.n)`` refines everywhere).
+
+    ``old_part`` has one block id per node of the graph it was computed
+    for; it may be shorter than ``g.n`` (the nodes beyond it were
+    appended) but not longer, and it must be 1-D (``ValueError``).
 
     ``reference_cut`` is the cut of the last *full* run on this stream;
     when the incremental result drifts above
@@ -210,6 +161,10 @@ def incremental_repartition(
     """
     t0 = time.perf_counter()
     old_part = np.asarray(old_part, dtype=np.int64)
+    if old_part.ndim != 1 or len(old_part) > g.n:
+        raise ValueError(
+            f"old partition must be a 1-D vector of at most n={g.n} "
+            f"entries, got shape {old_part.shape}")
     part = seed_from_previous(g, old_part, k)
 
     if not metrics.is_balanced(g, part, k, config.epsilon):
@@ -218,7 +173,20 @@ def incremental_repartition(
 
     band = dirty_band_mask(g, dirty_nodes, config.incremental_band_width)
     n_band = int(band.sum())
-    part = _band_refinement(g, part, k, band, config, seed)
+    part = pairwise_refinement(
+        g, part, k,
+        epsilon=config.epsilon,
+        bfs_depth=config.bfs_band_depth,
+        alpha=config.fm_alpha,
+        queue_selection=config.queue_selection,
+        local_iterations=config.local_iterations,
+        max_global_iterations=config.max_global_iterations,
+        stop_rule=config.stop_rule,
+        seed=seed,
+        matching_selection=config.matching_selection,
+        pair_algorithm=config.refine_algorithm,
+        within=band,
+    )
 
     cut = metrics.cut_value(g, part)
     feasible = metrics.is_balanced(g, part, k, config.epsilon)

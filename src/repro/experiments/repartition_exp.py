@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import FAST, metrics, partition_graph, repartition
+from ..core import FAST, incremental_repartition, metrics, partition_graph
 from ..generators import load
 from ..graph.csr import Graph
 from .common import ExperimentResult
@@ -41,8 +41,10 @@ def run(instances: Sequence[str] = ("delaunay13", "tri8k", "road10k"),
         g = load(name)
         base = partition_graph(g, k, config=FAST, seed=seed)
         g2 = perturb_weights(g, seed=seed + 1)
-        rep = repartition(g2, base.partition.part, k, config=FAST,
-                          seed=seed)
+        # every node dirty: refine the old partition everywhere
+        rep = incremental_repartition(g2, base.partition.part, k,
+                                      np.arange(g2.n), config=FAST,
+                                      seed=seed)
         fresh = partition_graph(g2, k, config=FAST, seed=seed)
         fresh_moved = float(
             g2.vwgt[fresh.partition.part != base.partition.part].sum()

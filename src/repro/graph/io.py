@@ -27,11 +27,39 @@ __all__ = [
 
 PathLike = Union[str, Path, TextIO]
 
+#: most nodes a DIMACS header may claim beyond the two per edge line
+#: that its edges can name (isolated nodes have no line of their own)
+MAX_UNNAMED_NODES = 2**20
+
 
 def _open(f: PathLike, mode: str):
     if hasattr(f, "read") or hasattr(f, "write"):
         return f, False
     return open(f, mode), True
+
+
+def _count(text: str, no: int, what: str) -> int:
+    """Parse a non-negative integer field of file line ``no``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"line {no}: {what} {text!r} is not an integer") \
+            from None
+    if value < 0:
+        raise ValueError(f"line {no}: negative {what} {value}")
+    return value
+
+
+def _weight(text: str, no: int, what: str) -> float:
+    """Parse a finite weight field of file line ``no``."""
+    try:
+        w = float(text)
+    except ValueError:
+        raise ValueError(
+            f"line {no}: {what} weight {text!r} is not a number") from None
+    if not np.isfinite(w):
+        raise ValueError(f"line {no}: non-finite {what} weight {text!r}")
+    return w
 
 
 def write_metis(g: Graph, f: PathLike) -> None:
@@ -100,12 +128,18 @@ def read_metis(f: PathLike) -> Graph:
         stripped += 1
     if not lines:
         raise ValueError("empty METIS file")
-    header = lines[0][1].split()
-    n, m = int(header[0]), int(header[1])
+    head_no, header = lines[0][0], lines[0][1].split()
+    if not 2 <= len(header) <= 4:
+        raise ValueError(
+            f"line {head_no}: METIS header needs 'n m [fmt [ncon]]', got "
+            f"{len(header)} field(s)")
+    n = _count(header[0], head_no, "node count")
+    m = _count(header[1], head_no, "edge count")
     fmt = header[2] if len(header) > 2 else "0"
     fmt = fmt.zfill(2)
     has_vw, has_ew = fmt[0] == "1", fmt[1] == "1"
-    ncon = int(header[3]) if len(header) > 3 else 1
+    ncon = (_count(header[3], head_no, "constraint count")
+            if len(header) > 3 else 1)
     if ncon != 1:
         raise ValueError("multi-constraint METIS files are not supported")
     if len(lines) - 1 < n <= len(lines) + stripped:
@@ -116,12 +150,6 @@ def read_metis(f: PathLike) -> Graph:
         lines += [(last + i, "") for i in range(1, n - len(lines) + 2)]
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} node lines, found {len(lines) - 1}")
-
-    def weight(text: str, no: int, what: str) -> float:
-        w = float(text)
-        if not np.isfinite(w):
-            raise ValueError(f"line {no}: non-finite {what} weight {text!r}")
-        return w
 
     edges, weights = [], []
     # arcs v -> u with v < u still waiting for their reverse u -> v:
@@ -134,10 +162,10 @@ def read_metis(f: PathLike) -> Graph:
         if has_vw:
             if not tok:
                 raise ValueError(f"line {no}: missing node weight")
-            vwgt[v] = weight(tok[0], no, "node")
+            vwgt[v] = _weight(tok[0], no, "node")
             idx = 1
         while idx < len(tok):
-            u = int(tok[idx]) - 1
+            u = _count(tok[idx], no, "neighbour id") - 1
             idx += 1
             if not 0 <= u < n:
                 raise ValueError(
@@ -147,7 +175,7 @@ def read_metis(f: PathLike) -> Graph:
                 if idx == len(tok):
                     raise ValueError(
                         f"line {no}: neighbour {u + 1} has no edge weight")
-                w = weight(tok[idx], no, "edge")
+                w = _weight(tok[idx], no, "edge")
                 idx += 1
             if v < u:  # each undirected edge appears on both lines
                 edges.append((v, u))
@@ -193,27 +221,51 @@ def write_dimacs(g: Graph, f: PathLike, comment: str = "") -> None:
 
 
 def read_dimacs(f: PathLike) -> Graph:
-    """Read a DIMACS edge-format file (``e u v [w]`` lines, 1-indexed)."""
+    """Read a DIMACS edge-format file (``p edge n m`` header, then
+    ``e u v [w]`` lines, 1-indexed).
+
+    Every endpoint must lie in ``1..n`` and every weight must be finite,
+    and the header may claim at most :data:`MAX_UNNAMED_NODES` nodes
+    beyond two per edge line, so a header alone cannot allocate millions
+    of nodes; a file that breaks this raises a :class:`ValueError`
+    naming the offending 1-based line of the file.
+    """
     handle, close = _open(f, "r")
     try:
         n = None
         edges, weights = [], []
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
+        for no, line in enumerate(handle, 1):
             tok = line.split()
+            if not tok or tok[0].startswith("c"):
+                continue
             if tok[0] == "p":
-                n = int(tok[2])
+                if len(tok) < 3:
+                    raise ValueError(
+                        f"line {no}: DIMACS header needs 'p edge n m'")
+                n, head_no = _count(tok[2], no, "node count"), no
             elif tok[0] == "e":
-                edges.append((int(tok[1]) - 1, int(tok[2]) - 1))
-                weights.append(float(tok[3]) if len(tok) > 3 else 1.0)
+                if len(tok) < 3:
+                    raise ValueError(f"line {no}: edge line needs 'e u v [w]'")
+                u = _count(tok[1], no, "endpoint") - 1
+                v = _count(tok[2], no, "endpoint") - 1
+                edges.append((u, v, no))
+                weights.append(_weight(tok[3], no, "edge")
+                               if len(tok) > 3 else 1.0)
     finally:
         if close:
             handle.close()
     if n is None:
         raise ValueError("missing 'p edge' header line")
-    return from_edge_list(n, edges, weights)
+    if n > 2 * len(edges) + MAX_UNNAMED_NODES:
+        raise ValueError(
+            f"line {head_no}: header claims {n} nodes but {len(edges)} edge "
+            f"line(s) name at most {2 * len(edges)}")
+    for u, v, no in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(
+                f"line {no}: edge {u + 1} {v + 1} has an endpoint outside "
+                f"1..{n}")
+    return from_edge_list(n, [(u, v) for u, v, _ in edges], weights)
 
 
 def write_partition(part: np.ndarray, f: PathLike) -> None:

@@ -51,7 +51,6 @@ from .scheduling import SCHEDULES, schedule_rounds, random_local_rounds, colorin
 __all__ += ["SCHEDULES", "schedule_rounds", "random_local_rounds", "coloring_rounds"]
 
 from .maxflow import FlowNetwork, max_flow_min_cut
-from .flow import flow_cut_for_band, flow_refine_pair_sides
+from .flow import flow_cut_for_band
 
-__all__ += ["FlowNetwork", "max_flow_min_cut", "flow_cut_for_band",
-            "flow_refine_pair_sides"]
+__all__ += ["FlowNetwork", "max_flow_min_cut", "flow_cut_for_band"]

@@ -159,9 +159,10 @@ def extract_bands(
 
     ``within`` (optional boolean node mask) further restricts the bands:
     the bounded BFS only visits (and FM only moves) nodes inside the
-    mask — the incremental repartitioner passes its dirty band here so
-    local search cannot wander into clean regions.  Gains still count
-    every arc into the pair.
+    mask — :func:`~repro.refinement.pairwise.pairwise_refinement`
+    forwards its ``within`` here (the incremental repartitioner's dirty
+    band) so local search cannot wander into clean regions.  Gains still
+    count every arc into the pair.
 
     ``candidates`` (optional boolean node mask) limits the boundary scan
     to its nodes; it must contain every node with a cut arc (see

@@ -9,9 +9,11 @@ max-flow and adopt it when it beats the current cut without breaking the
 balance constraint.
 
 Unlike FM this finds globally optimal cuts through the corridor, but it
-has no native balance control; we accept the flow cut only when the
-resulting weights stay feasible, otherwise the FM result stands (KaFFPa's
-adaptive-corridor iterations are out of scope).
+has no native balance control: the pair search
+(:func:`~repro.refinement.pairwise.refine_pair` with ``algorithm="flow"``
+or ``"fm_flow"``) adopts the flow cut under the same lexicographic
+(imbalance, cut) rule as the FM candidates (KaFFPa's adaptive-corridor
+iterations are out of scope).
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..graph.csr import Graph
-from .band import Band, extract_band
+from .band import Band
 from .maxflow import FlowNetwork
 
-__all__ = ["flow_cut_for_band", "flow_refine_pair_sides"]
+__all__ = ["flow_cut_for_band"]
 
 _INF = 1e18
 
@@ -62,38 +63,3 @@ def flow_cut_for_band(band: Band) -> Optional[Tuple[float, np.ndarray]]:
     new_side[~band.movable] = band.side[~band.movable]
     return float(value), new_side
 
-
-def flow_refine_pair_sides(
-    g: Graph,
-    part: np.ndarray,
-    a: int,
-    b: int,
-    depth: int,
-    weight_a: float,
-    weight_b: float,
-    lmax: float,
-) -> Optional[Tuple[np.ndarray, Band, float, float]]:
-    """Compute the flow-improved side assignment for pair (a, b).
-
-    Returns ``(new_side, band, new_weight_a, new_weight_b)`` when the flow
-    cut is adoptable (feasible and well-defined), else ``None``.  The
-    caller compares it against the FM candidates under the usual
-    lexicographic (imbalance, cut) rule.
-    """
-    band, _ = extract_band(g, part, a, b, depth)
-    if band.graph.n == 0:
-        return None
-    res = flow_cut_for_band(band)
-    if res is None:
-        return None
-    _, new_side = res
-    moved = band.movable & (new_side != band.side)
-    if not moved.any():
-        return None
-    delta = g.vwgt[band.smap.to_parent[moved]]
-    to_b = new_side[moved] == 1
-    wa = weight_a - float(delta[to_b].sum()) + float(delta[~to_b].sum())
-    wb = weight_b + float(delta[to_b].sum()) - float(delta[~to_b].sum())
-    if max(wa, wb) > lmax + 1e-9 and max(wa, wb) > max(weight_a, weight_b):
-        return None  # flow cut would worsen an infeasible balance
-    return new_side, band, wa, wb

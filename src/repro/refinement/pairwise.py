@@ -39,7 +39,9 @@ refining each pair to completion in turn.  FM runs on the band's
 prepared lists (:attr:`~repro.refinement.band.Band.fm`), never on a
 band subgraph, and the band seeds come from a candidate mask each
 driver keeps per level (the cut nodes when the level starts, plus every
-moved node and its neighbours) instead of a scan of all arcs.  The
+moved node and its neighbours) instead of a scan of all arcs; the
+sequential driver also draws each global iteration's schedule from the
+cut arcs of those candidates (clipped to its ``within`` mask).  The
 SPMD driver sends each partner exactly the band (plus halo) it refines
 and trades the FM results as band-node sides.  Under the
 mapping objective a pair's gain bias reads its third-block neighbours,
@@ -55,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.base import Comm
+from ..graph.build import from_edge_list
 from ..graph.csr import Graph
 from ..graph.quotient import quotient_graph
 from ..core import metrics
@@ -181,7 +184,6 @@ def refine_pair(
     seed_b: int,
     block_sizes: Tuple[int, int],
     algorithm: str = "fm",
-    within: Optional[np.ndarray] = None,
     dist: Optional[np.ndarray] = None,
     aux_block_w: Optional[np.ndarray] = None,
     aux_lmax: Optional[np.ndarray] = None,
@@ -197,8 +199,6 @@ def refine_pair(
     ``algorithm`` selects the pair-local search: ``"fm"`` (the paper's
     two seeded FM runs), ``"flow"`` (the Section 8 min-cut-through-the-
     band refiner), or ``"fm_flow"`` (all three candidates compete).
-    ``within`` optionally restricts the extracted band (and hence every
-    move) to a node mask — the incremental repartitioner's dirty band.
 
     ``dist`` (a k×k block distance matrix) switches the pair search to
     the topology-aware mapping objective: within-pair gains are scaled
@@ -209,7 +209,7 @@ def refine_pair(
     balance-constraint dimensions of a multi-constraint graph.
     """
     if band is None:
-        band = extract_bands(g, part, [(a, b)], depth, within=within)[0]
+        band = extract_bands(g, part, [(a, b)], depth)[0]
     search = _search_pair(
         g, part, block_w, a, b, lmax, alpha, queue_selection,
         (seed_a, seed_b), block_sizes, algorithm, band,
@@ -380,6 +380,24 @@ def _pair_seed(seed: int, git: int, lit: int, a: int, b: int, who: int) -> int:
     return hash((seed, git, lit, a, b, who)) & 0x7FFFFFFF
 
 
+def _schedule_quotient(g: Graph, part: np.ndarray, k: int,
+                       rows: np.ndarray) -> Graph:
+    """The quotient graph a schedule is drawn from, built from the cut
+    arcs of the nodes in the mask ``rows`` only: an edge {A, B} whenever
+    such a node of block A has an arc into block B.  The schedules read
+    only Q's edge endpoints, so the edges carry unit weights.  When
+    ``rows`` holds every cut node this is exactly Q's edge set, without
+    a scan of all arcs."""
+    nodes = np.flatnonzero(rows)
+    idx, counts = g.row_arcs(nodes)
+    bu = np.repeat(part[nodes], counts)
+    bv = part[g.adjncy[idx]]
+    cross = bu != bv
+    keys = np.unique(np.minimum(bu[cross], bv[cross]) * k
+                     + np.maximum(bu[cross], bv[cross]))
+    return from_edge_list(k, np.stack([keys // k, keys % k], axis=1))
+
+
 def pairwise_refinement(
     g: Graph,
     part: np.ndarray,
@@ -397,6 +415,7 @@ def pairwise_refinement(
     pair_algorithm: str = "fm",
     epsilons: Optional[Sequence[float]] = None,
     topology=None,
+    within: Optional[np.ndarray] = None,
     tracer=NULL_TRACER,
 ) -> np.ndarray:
     """Sequential driver: iterate over the rounds of a pair schedule of
@@ -415,6 +434,12 @@ def pairwise_refinement(
     a multi-constraint graph (default: ``epsilon`` for every dimension);
     ``topology`` (a :class:`~repro.core.objectives.Topology`) switches
     every pair search to the topology-aware mapping objective.
+
+    ``within`` (optional boolean node mask) confines the refinement to
+    its nodes: only the pairs whose cut touches the mask are scheduled,
+    and no node outside it moves (the bands are clipped to it, see
+    :func:`~repro.refinement.band.extract_bands`).  The incremental
+    repartitioner passes its dirty band here.
     """
     if coloring not in ("greedy", "distributed"):
         raise ValueError(f"unknown coloring mode {coloring!r}")
@@ -435,7 +460,8 @@ def pairwise_refinement(
 
     no_change_streak = 0
     for git in range(max_global_iterations):
-        q = quotient_graph(g, part, k)
+        rows = near_cut if within is None else near_cut & within
+        q = _schedule_quotient(g, part, k, rows)
         if q.m == 0:
             break
         tracer.count("global_iterations")
@@ -460,7 +486,8 @@ def pairwise_refinement(
                     if not live:
                         break
                     bands = extract_bands(g, part, [group[i] for i in live],
-                                          bfs_depth, candidates=near_cut)
+                                          bfs_depth, within=within,
+                                          candidates=near_cut)
                     still = []
                     for i, band in zip(live, bands):
                         a, b = group[i]

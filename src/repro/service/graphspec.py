@@ -97,7 +97,7 @@ def resolve_graph(spec: Any) -> Tuple[Graph, str]:
             raise GraphSpecError("'metis' must be a non-empty string")
         try:
             g = read_metis(io.StringIO(text))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise GraphSpecError(f"bad METIS text: {exc}") from None
         return g, f"upload(n={g.n}, m={g.m})"
     gen = spec["generator"]

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    diffusion_partition,
     metis_like_partition,
     parmetis_like_partition,
     scotch_like_partition,
 )
 from repro.coarsening import coarsen, dispatch, parallel_matching, prepartition
-from repro.core import FAST, MINIMAL, partition_graph, repartition
+from repro.core import (FAST, MINIMAL, incremental_repartition,
+                        partition_graph)
 from repro.generators import (
     delaunay_graph,
     graded_mesh,
@@ -94,7 +94,6 @@ class TestToolDeterminism:
         metis_like_partition,
         parmetis_like_partition,
         scotch_like_partition,
-        diffusion_partition,
     ])
     def test_baselines(self, mesh, fn):
         a = fn(mesh, 4, 0.03, 9)
@@ -115,8 +114,11 @@ class TestToolDeterminism:
 
     def test_repartition(self, mesh):
         base = partition_graph(mesh, 4, config=MINIMAL, seed=0)
-        a = repartition(mesh, base.partition.part, 4, config=MINIMAL, seed=12)
-        b = repartition(mesh, base.partition.part, 4, config=MINIMAL, seed=12)
+        every = np.arange(mesh.n)
+        a = incremental_repartition(mesh, base.partition.part, 4, every,
+                                    config=MINIMAL, seed=12)
+        b = incremental_repartition(mesh, base.partition.part, 4, every,
+                                    config=MINIMAL, seed=12)
         assert np.array_equal(a.partition.part, b.partition.part)
 
     def test_flow_variant(self, mesh):

@@ -1,9 +1,16 @@
+"""Repartitioning a changed graph from an old partition: the
+``incremental_repartition`` call with every node dirty."""
+
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import FAST, MINIMAL, metrics, partition_graph, repartition
-from repro.generators import delaunay_graph
-from repro.graph import Graph, from_edge_list
+from repro.core import (FAST, MINIMAL, incremental_repartition, metrics,
+                        partition_graph)
+from repro.experiments.repartition_exp import perturb_weights as grow_weights
+from repro.generators import delaunay_graph, load
+from repro.graph import Graph
 
 
 def perturb_weights(g, seed=0, frac=0.1):
@@ -14,6 +21,20 @@ def perturb_weights(g, seed=0, frac=0.1):
     vwgt[hot] *= 3.0
     return Graph(g.xadj, g.adjncy, g.adjwgt, vwgt, coords=g.coords,
                  validate=False)
+
+
+def repartition(g, old_part, k, config=FAST, seed=0):
+    """Refine ``old_part`` on ``g`` with every node dirty."""
+    return incremental_repartition(g, old_part, k, np.arange(g.n),
+                                   config=config, seed=seed)
+
+
+def digest(a) -> str:
+    """sha256 over dtype, shape and the raw bytes of ``a``."""
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()[:16]
 
 
 class TestRepartition:
@@ -43,6 +64,14 @@ class TestRepartition:
         fresh = partition_graph(g2, 4, config=FAST, seed=0)
         assert res.cut <= 1.5 * fresh.cut
 
+    def test_partition_pinned(self, scenario):
+        """The digest the retired stand-alone ``repartition`` returned."""
+        g, g2, base = scenario
+        res = repartition(g2, base.partition.part, 4, config=FAST, seed=0)
+        assert digest(res.partition.part) == "f75cc00bd08d40d7"
+        assert (res.cut, res.migrated_nodes) == (220.0, 0)
+        assert not res.used_fallback
+
     def test_noop_when_still_feasible(self):
         g = delaunay_graph(400, seed=12)
         base = partition_graph(g, 4, config=FAST, seed=0)
@@ -60,9 +89,15 @@ class TestRepartition:
         assert metrics.is_balanced(g, res.partition.part, 4, 0.03)
 
     def test_wrong_length_rejected(self):
+        """Longer than ``g.n``, or 2-D, is rejected; shorter means the
+        nodes beyond it were appended."""
         g = delaunay_graph(100, seed=13)
         with pytest.raises(ValueError):
-            repartition(g, np.zeros(5, dtype=np.int64), 2)
+            repartition(g, np.zeros(g.n + 1, dtype=np.int64), 2)
+        with pytest.raises(ValueError):
+            repartition(g, np.zeros((g.n, 1), dtype=np.int64), 2)
+        res = repartition(g, np.zeros(5, dtype=np.int64), 2)
+        assert len(res.partition.part) == g.n
 
     def test_migration_accounting(self):
         g = delaunay_graph(300, seed=14)
@@ -72,3 +107,15 @@ class TestRepartition:
         moved = res.partition.part != base.partition.part
         assert res.migrated_nodes == int(moved.sum())
         assert np.isclose(res.migrated_weight, g2.vwgt[moved].sum())
+
+
+def test_bench_cell_pinned():
+    """One cell of the Section 8 repartitioning bench (road10k, k=8,
+    seed 0): the digest the retired stand-alone ``repartition``
+    returned."""
+    g = load("road10k")
+    base = partition_graph(g, 8, config=FAST, seed=0)
+    g2 = grow_weights(g, seed=1)
+    res = repartition(g2, base.partition.part, 8, config=FAST, seed=0)
+    assert digest(res.partition.part) == "4497f007f9d0d5da"
+    assert (res.cut, res.migrated_nodes) == (419.0, 123)

@@ -172,6 +172,22 @@ class TestDimacs:
         assert g.edge_weight(0, 1) == 1.0
 
 
+@pytest.mark.parametrize("reader,text,line", [
+    (read_metis, "3\n2\n1 3\n2\n", 1),                # header of one field
+    (read_metis, "% c\n2 1\n2\nx\n", 4),             # neighbour id not a number
+    (read_dimacs, "p edge\n", 1),                       # header without n
+    (read_dimacs, "p edge 2 1\ne 2\n", 2),              # edge of one endpoint
+    (read_dimacs, "p edge 2 1\ne 999999999999999999999 1\n", 2),
+    (read_dimacs, "p edge 2 1\ne 1 2 abc\n", 2),        # weight not a number
+    (read_dimacs, "c x\np edge 99999999999 0\n", 2),   # header alone, huge n
+])
+def test_malformed_file_names_its_line(reader, text, line):
+    """Malformed files raise ``ValueError`` naming the file line, never
+    an ``IndexError`` or ``OverflowError``."""
+    with pytest.raises(ValueError, match=rf"^line {line}: "):
+        reader(io.StringIO(text))
+
+
 class TestPartitionIO:
     def test_roundtrip(self, tmp_path):
         part = np.array([0, 1, 1, 0, 2], dtype=np.int64)

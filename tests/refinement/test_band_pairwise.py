@@ -15,7 +15,8 @@ from repro.refinement import (
     pairwise_refinement_spmd,
     refine_pair,
 )
-from repro.refinement.pairwise import _pair_seed
+from repro.refinement.band import cut_candidates
+from repro.refinement.pairwise import _pair_seed, _schedule_quotient
 from repro.refinement.scheduling import coloring_rounds
 
 
@@ -133,6 +134,43 @@ class TestPairwiseRefinement:
         part = np.zeros(6, dtype=np.int64)
         out = pairwise_refinement(two_triangles, part, 1, seed=0)
         assert np.array_equal(out, part)
+
+    def test_within_mask_confines_moves(self):
+        g = random_geometric_graph(500, seed=1)
+        part0 = np.random.default_rng(2).integers(0, 4, g.n)
+        within = g.coords[:, 0] < 0.5
+        part1 = pairwise_refinement(g, part0, 4, seed=5, within=within)
+        assert np.array_equal(part1[~within], part0[~within])
+        assert (part1[within] != part0[within]).any()
+        assert metrics.cut_value(g, part1) < metrics.cut_value(g, part0)
+
+    def test_within_all_true_equals_unrestricted(self):
+        g = random_geometric_graph(500, seed=1)
+        part0 = np.random.default_rng(2).integers(0, 4, g.n)
+        free = pairwise_refinement(g, part0, 4, seed=5)
+        everywhere = pairwise_refinement(g, part0, 4, seed=5,
+                                         within=np.ones(g.n, dtype=bool))
+        assert np.array_equal(free, everywhere)
+
+    def test_empty_within_moves_nothing(self):
+        g = random_geometric_graph(300, seed=1)
+        part0 = np.random.default_rng(2).integers(0, 4, g.n)
+        out = pairwise_refinement(g, part0, 4, seed=5,
+                                  within=np.zeros(g.n, dtype=bool))
+        assert np.array_equal(out, part0)
+
+    @given(seed=st.integers(0, 2**16), k=st.integers(2, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_schedule_quotient_from_cut_rows_is_q(self, seed, k):
+        """Built from the rows of the cut nodes, the schedule's quotient
+        has exactly Q's edges."""
+        g = random_geometric_graph(120, seed=seed % 7)
+        part = np.random.default_rng(seed).integers(0, k, g.n)
+        part[: g.n // 2] = 0  # some blocks never meet
+        q = quotient_graph(g, part, k)
+        sq = _schedule_quotient(g, part, k, cut_candidates(g, part))
+        assert np.array_equal(q.xadj, sq.xadj)
+        assert np.array_equal(q.adjncy, sq.adjncy)
 
 
 class TestColorBatching:

@@ -7,7 +7,6 @@ from repro.graph import grid2d_graph
 from repro.refinement import (
     extract_band,
     flow_cut_for_band,
-    flow_refine_pair_sides,
     pairwise_refinement,
     refine_pair,
 )
@@ -85,20 +84,6 @@ class TestFlowRefinePair:
         with pytest.raises(ValueError):
             refine_pair(two_triangles, part, block_w, 0, 1, 4.0, 2, 0.5,
                         "top_gain", 1, 2, (3, 3), algorithm="simulated_annealing")
-
-    def test_flow_refine_pair_sides_api(self):
-        g = grid2d_graph(8, 8)
-        part = (np.arange(64) % 8 >= 4).astype(np.int64)
-        part[3] = 1
-        res = flow_refine_pair_sides(
-            g, part, 0, 1, depth=3,
-            weight_a=float((part == 0).sum()),
-            weight_b=float((part == 1).sum()),
-            lmax=metrics.lmax(g, 2, 0.10),
-        )
-        if res is not None:
-            new_side, band, wa, wb = res
-            assert np.isclose(wa + wb, 64.0)
 
 
 class TestEndToEnd:

@@ -17,7 +17,6 @@ MODULES = [
     "repro.graph.io",
     "repro.graph.subgraph",
     "repro.graph.quotient",
-    "repro.graph.distributed",
     "repro.graph.validate",
     "repro.graph.dynamic",
     "repro.generators",
@@ -82,7 +81,6 @@ MODULES = [
     "repro.core.metrics",
     "repro.core.objectives",
     "repro.core.partitioner",
-    "repro.core.repartition",
     "repro.core.incremental",
     "repro.baselines",
     "repro.walshaw",
@@ -150,7 +148,6 @@ def test_all_submodules_discovered():
         "repro.baselines.metis_like",
         "repro.baselines.parmetis_like",
         "repro.baselines.scotch_like",
-        "repro.baselines.diffusion",
         "repro.walshaw.archive",
         "repro.walshaw.runner",
         "repro.walshaw.evolution",
