@@ -45,10 +45,11 @@ import numpy as np
 from ..graph.csr import Graph
 from ..kernels import dispatch
 from ..observability import MetricsRegistry
-from ..refinement.balance import rebalance
+from ..refinement.balance import ensure_feasible, is_feasible
 from ..refinement.pairwise import pairwise_refinement
 from . import metrics
 from .config import FAST, KappaConfig
+from .objectives import resolve_topology
 from .partition import Partition
 from .partitioner import partition_graph
 
@@ -166,10 +167,7 @@ def incremental_repartition(
             f"old partition must be a 1-D vector of at most n={g.n} "
             f"entries, got shape {old_part.shape}")
     part = seed_from_previous(g, old_part, k)
-
-    if not metrics.is_balanced(g, part, k, config.epsilon):
-        part = rebalance(g, part, k, config.epsilon,
-                         rng=np.random.default_rng(seed))
+    part = ensure_feasible(g, part, k, config.epsilon, seed, config.epsilons)
 
     band = dirty_band_mask(g, dirty_nodes, config.incremental_band_width)
     n_band = int(band.sum())
@@ -185,13 +183,14 @@ def incremental_repartition(
         seed=seed,
         matching_selection=config.matching_selection,
         pair_algorithm=config.refine_algorithm,
+        epsilons=config.epsilons,
+        topology=resolve_topology(config.objective, config.topology, k),
         within=band,
     )
 
     cut = metrics.cut_value(g, part)
-    feasible = metrics.is_balanced(g, part, k, config.epsilon)
     fallback_reason = None
-    if not feasible:
+    if not is_feasible(g, part, k, config.epsilon, config.epsilons):
         fallback_reason = "balance"
     elif (reference_cut is not None
           and cut > (1.0 + config.drift_threshold) * reference_cut):

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from ..instrument import (
     ensure_tracer,
 )
 from ..observability import MetricsRegistry, merge_pe_obs, merge_registry_docs
-from ..refinement.balance import rebalance
+from ..refinement.balance import ensure_feasible
 from ..refinement.pairwise import pairwise_refinement
-from ..engine import SimulatedEngine, get_engine
+from ..engine import EngineResult, SimulatedEngine, get_engine
 from ..parallel.costmodel import DEFAULT_MACHINE, MachineModel
 from ..resilience.policy import ResiliencePolicy
 from . import metrics
@@ -61,7 +62,6 @@ class KappaResult:
     sim_time_s: Optional[float] = None  # cluster path: simulated makespan
     levels: int = 0
     coarsest_n: int = 0
-    stats: Dict[str, float] = field(default_factory=dict)
     #: cut after refining each level, coarsest first (sequential path) —
     #: the multilevel "cut trajectory" (monotone improvements per level)
     level_cuts: List[float] = field(default_factory=list)
@@ -70,13 +70,20 @@ class KappaResult:
     #: invariant violations collected by the run's InvariantChecker
     #: (always empty in "strict" mode unless the run raised)
     violations: List[Violation] = field(default_factory=list)
-    #: metrics-registry export (counters/gauges/histograms) — the typed
-    #: view the flat ``stats`` dict is derived from; renders to
-    #: Prometheus text via ``repro.observability.prometheus_text``
+    #: the run's one metrics book, a registry export (counters / gauges /
+    #: histograms) that ``stats`` views; renders to Prometheus text via
+    #: ``repro.observability.prometheus_text``
     metrics: Optional[Dict] = None
     #: merged per-PE observability document (spans / comm_matrix /
     #: metrics) when the run was observed (``config.observe``)
     obs: Optional[Dict] = None
+
+    @property
+    def stats(self) -> Mapping[str, float]:
+        """Read-only flat view of ``metrics``: its counters and gauges."""
+        doc = self.metrics or {}
+        return MappingProxyType({**doc.get("counters", {}),
+                                 **doc.get("gauges", {})})
 
     @property
     def cut(self) -> float:
@@ -226,26 +233,16 @@ class KappaPartitioner:
                         elapsed_s=time.perf_counter() - t_lvl,
                     )
         with tracer.phase("feasibility"):
-            part = self._ensure_feasible(g, part, k, seed, tracer)
+            part = ensure_feasible(g, part, k, cfg.epsilon, seed,
+                                   cfg.epsilons, tracer)
         if checker is not None:
             checker.check_final(g, part, k, cfg.epsilon)
         t_refine = time.perf_counter()
-        stats = {
-            "time_coarsen_s": t_coarsen - t0,
-            "time_initial_s": t_initial - t_coarsen,
-            "time_refine_s": t_refine - t_initial,
-        }
-        partition_obj = Partition(g, part, k, cfg.epsilon)
         registry = MetricsRegistry()
-        registry.count_all(stats)
-        registry.gauge("final_cut").set(float(partition_obj.cut))
-        registry.gauge("final_balance").set(float(partition_obj.balance))
-        topo = resolve_topology(cfg.objective, cfg.topology, k,
-                                machine=self.machine)
-        if topo is not None:
-            stats["mapping_cost"] = mapping_cost(g, part, topo)
-            registry.gauge("final_mapping_cost").set(stats["mapping_cost"])
-        metrics_doc = registry.export()
+        registry.counter("time_coarsen_s").inc(t_coarsen - t0)
+        registry.counter("time_initial_s").inc(t_initial - t_coarsen)
+        registry.counter("time_refine_s").inc(t_refine - t_initial)
+        partition_obj, metrics_doc = self._close_run(g, part, k, registry)
         if tracer.enabled:
             tracer.observability = {"metrics": metrics_doc}
         return KappaResult(
@@ -254,9 +251,31 @@ class KappaPartitioner:
             levels=hierarchy.depth,
             coarsest_n=hierarchy.coarsest.n,
             level_cuts=level_cuts,
-            stats=stats,
             metrics=metrics_doc,
         )
+
+    def _close_run(self, g: Graph, part: np.ndarray, k: int,
+                   registry: MetricsRegistry,
+                   res: Optional[EngineResult] = None):
+        """Close a run's one metrics book: add the engine's traffic and
+        makespan (cluster path), the final cut and balance and, under the
+        mapping objective, ``mapping_cost`` to ``registry``, then merge in
+        the engine's per-PE document.  Returns ``(Partition, metrics)``."""
+        cfg = self.config
+        partition_obj = Partition(g, part, k, cfg.epsilon)
+        if res is not None:
+            registry.counter("bytes_sent").inc(float(res.bytes_sent))
+            registry.counter("messages_sent").inc(float(res.messages_sent))
+            if res.makespan is not None:
+                registry.gauge("makespan_s").set(res.makespan)
+        registry.gauge("final_cut").set(float(partition_obj.cut))
+        registry.gauge("final_balance").set(float(partition_obj.balance))
+        topo = resolve_topology(cfg.objective, cfg.topology, k,
+                                machine=self.machine)
+        if topo is not None:
+            registry.gauge("mapping_cost").set(mapping_cost(g, part, topo))
+        return partition_obj, merge_registry_docs(
+            [registry.export(), res.metrics if res is not None else None])
 
     def _refine(self, g: Graph, part: np.ndarray, k: int, seed: int,
                 tracer=NULL_TRACER) -> np.ndarray:
@@ -280,21 +299,6 @@ class KappaPartitioner:
                                       machine=self.machine),
             tracer=tracer,
         )
-
-    def _ensure_feasible(self, g: Graph, part: np.ndarray, k: int,
-                         seed: int, tracer=NULL_TRACER) -> np.ndarray:
-        cfg = self.config
-        balanced = metrics.is_balanced(g, part, k, cfg.epsilon)
-        if balanced and (g.n_constraints > 1 or cfg.epsilons is not None):
-            from ..refinement.balance import BalanceState
-            balanced = BalanceState(g, part, k, epsilon=cfg.epsilon,
-                                    epsilons=cfg.epsilons).is_feasible()
-        if not balanced:
-            tracer.count("rebalance_invocations")
-            part = rebalance(g, part, k, cfg.epsilon,
-                             rng=np.random.default_rng(seed),
-                             epsilons=cfg.epsilons)
-        return part
 
     # ------------------------------------------------------------------
     def _partition_cluster(self, g: Graph, k: int, seed: int,
@@ -326,54 +330,9 @@ class KappaPartitioner:
                 raise AssertionError("PEs finished with inconsistent partitions")
         if checker is not None:
             checker.check_final(g, part, k, cfg.epsilon)
-        # aggregate per-PE phase timers: the max over PEs is the phase's
-        # critical-path wall time (PEs run the phase concurrently)
-        phase_stats: Dict[str, float] = {}
-        for pe_phases in res.phase_times:
-            for name, seconds in pe_phases.items():
-                key = f"phase_{name}_max_s"
-                phase_stats[key] = max(phase_stats.get(key, 0.0), seconds)
-        # resilience accounting: per-PE counters (checkpoint saves,
-        # injected message faults, recv retries — summed over PEs) plus
-        # run-level supervisor events (restarts, PEs lost, recovery time)
-        resilience_stats: Dict[str, float] = {}
-        for pe_counters in res.counters:
-            for name, value in pe_counters.items():
-                resilience_stats[name] = resilience_stats.get(name, 0.0) \
-                    + float(value)
-        for name, value in res.events.items():
-            resilience_stats[name] = resilience_stats.get(name, 0.0) \
-                + float(value)
-        # metrics registry: the typed home of every ad-hoc stats counter.
-        # The flat ``stats`` dict below keeps its exact historical keys
-        # (derived from the same values), while the registry additionally
-        # carries instrument kinds for the Prometheus/trace exporters and
-        # absorbs the per-PE registries (recv-wait histograms etc.) when
-        # the run was observed.
-        partition_obj = Partition(g, part, k, cfg.epsilon)
-        registry = MetricsRegistry()
-        registry.counter("bytes_sent").inc(float(res.bytes_sent))
-        registry.counter("messages_sent").inc(float(res.messages_sent))
-        for key, seconds in phase_stats.items():
-            registry.gauge(key).set(seconds)
-        # resilience counters — including recovery_time_s — register here
-        # so they show up in Prometheus exposition, not only in stats
-        registry.count_all(resilience_stats)
-        if res.makespan is not None:
-            registry.gauge("makespan_s").set(res.makespan)
-        registry.gauge("final_cut").set(float(partition_obj.cut))
-        registry.gauge("final_balance").set(float(partition_obj.balance))
-        topo = resolve_topology(cfg.objective, cfg.topology, k,
-                                machine=self.machine)
-        run_mapping_cost = (mapping_cost(g, part, topo)
-                            if topo is not None else None)
-        if run_mapping_cost is not None:
-            registry.gauge("final_mapping_cost").set(run_mapping_cost)
+        partition_obj, metrics_doc = self._close_run(
+            g, part, k, MetricsRegistry(), res)
         merged_obs = merge_pe_obs(list(res.obs))
-        metrics_doc = merge_registry_docs(
-            [registry.export(),
-             merged_obs["metrics"] if merged_obs else None]
-        )
         if merged_obs is not None:
             merged_obs["metrics"] = metrics_doc
         if tracer.enabled:
@@ -383,37 +342,16 @@ class KappaPartitioner:
                 tracer.meta["faults"] = cfg.faults
             if cfg.checkpoint_dir:
                 tracer.meta["checkpoint_dir"] = cfg.checkpoint_dir
-            tracer.count("bytes_sent", float(res.bytes_sent))
-            tracer.count("messages_sent", float(res.messages_sent))
-            for key, seconds in sorted(phase_stats.items()):
-                tracer.count(f"pe_{key}", seconds)
-            for name, value in sorted(resilience_stats.items()):
-                tracer.count(name, value)
-            tracer.observability = (
-                merged_obs if merged_obs is not None
-                else {"metrics": metrics_doc}
-            )
-        elapsed = time.perf_counter() - t0
-        stats = {
-            "bytes_sent": float(res.bytes_sent),
-            "messages_sent": float(res.messages_sent),
-            **phase_stats,
-            **resilience_stats,
-        }
-        if res.makespan is not None:
-            stats["makespan_s"] = res.makespan
-        if run_mapping_cost is not None:
-            stats["mapping_cost"] = run_mapping_cost
+            tracer.observability = merged_obs or {"metrics": metrics_doc}
         return KappaResult(
             partition=partition_obj,
-            time_s=elapsed,
+            time_s=time.perf_counter() - t0,
             # simulated parallel time is only meaningful on the sim
             # engine (Figure 3); process/sequential report wall time only
             sim_time_s=(res.makespan
                         if isinstance(eng, SimulatedEngine) else None),
             levels=levels,
             coarsest_n=coarsest_n,
-            stats=stats,
             metrics=metrics_doc,
             obs=merged_obs,
         )

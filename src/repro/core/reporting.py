@@ -111,7 +111,8 @@ def format_trace_summary(trace: Dict) -> str:
     ``trace`` is the ``repro.trace/3`` dict produced by
     :meth:`repro.instrument.Tracer.to_dict` (also found in
     ``KappaResult.trace``).  Renders the phase timings, the per-level
-    coarsening and refinement tables, and the invariant-check outcome.
+    coarsening and refinement tables, the resilience counters of the
+    run's ``metrics`` section, and the invariant-check outcome.
     """
     lines: List[str] = []
     meta = trace.get("meta", {})
@@ -164,9 +165,10 @@ def format_trace_summary(trace: Dict) -> str:
             refine_rows, ("level", "n", "m", "cut", "time")
         ))
 
-    totals = trace.get("counters", {})
+    # resilience counters are run metrics, not tracer counters
+    run_counters = (trace.get("metrics") or {}).get("counters", {})
     resilience = {
-        name: value for name, value in totals.items()
+        name: value for name, value in run_counters.items()
         if name.startswith(("fault_", "checkpoint_", "recovery_"))
     }
     if resilience:

@@ -29,14 +29,13 @@ from ..engine.base import Comm
 from ..graph.csr import Graph
 from ..initial.runner import initial_partition_spmd
 from ..observability import maybe_span, observe_comm
-from ..refinement.balance import rebalance
+from ..refinement.balance import ensure_feasible
 from ..refinement.pairwise import pairwise_refinement_spmd
 from ..resilience.runtime import (
     pack_coarsening,
     spmd_resilience,
     unpack_coarsening,
 )
-from . import metrics
 from .config import KappaConfig
 
 __all__ = ["kappa_spmd_program"]
@@ -49,8 +48,8 @@ def kappa_spmd_program(comm: Comm, g: Graph, k: int, seed: int,
     Returns ``(partition, depth, coarsest_n)``; every PE returns the
     same values because all decisions flow through deterministic
     collectives and ``comm.derive_rng``.  Phase wall-clock per PE is
-    recorded through ``comm.timed`` and surfaces in
-    ``EngineResult.phase_times``.
+    recorded through ``comm.timed`` into ``comm.metrics`` and surfaces
+    in ``EngineResult.metrics`` as ``phase_<name>_max_s``.
 
     Resilience (``cfg.faults`` / ``cfg.checkpoint_dir``) threads through
     the phase boundaries: each boundary heartbeats, fires any injected
@@ -111,17 +110,8 @@ def kappa_spmd_program(comm: Comm, g: Graph, k: int, seed: int,
                     part = _refine_spmd(comm, g, part, k, seed, cfg)
                 rz.boundary("refine:level0",
                             state={"part": part, "level": 0})
-            balanced = metrics.is_balanced(g, part, k, cfg.epsilon)
-            if balanced and (g.n_constraints > 1
-                             or cfg.epsilons is not None):
-                from ..refinement.balance import BalanceState
-                balanced = BalanceState(
-                    g, part, k, epsilon=cfg.epsilon,
-                    epsilons=cfg.epsilons).is_feasible()
-            if not balanced:
-                part = rebalance(g, part, k, cfg.epsilon,
-                                 rng=np.random.default_rng(seed),
-                                 epsilons=cfg.epsilons)
+            part = ensure_feasible(g, part, k, cfg.epsilon, seed,
+                                   cfg.epsilons)
     rz.boundary("final", state={"part": part, "depth": hierarchy.depth,
                                 "coarsest_n": hierarchy.coarsest.n})
     return part, hierarchy.depth, hierarchy.coarsest.n

@@ -14,7 +14,8 @@ the *protocol* without pulling in any particular runtime:
 * :class:`Engine` — the runtime strategy: run an SPMD function on ``p``
   PEs and return an :class:`EngineResult`;
 * :class:`EngineResult` — per-PE return values plus runtime statistics
-  (makespan, per-PE phase timers, message/byte counts).
+  (makespan, message/byte counts, and one metrics document merged over
+  the PEs' registries).
 
 Concrete engines live in sibling modules: sequential (deterministic
 cooperative scheduling, one PE at a time), sim (the sequential scheduler
@@ -45,6 +46,8 @@ from typing import (
 )
 
 import numpy as np
+
+from ..observability.registry import MetricsRegistry
 
 __all__ = [
     "Comm",
@@ -161,13 +164,12 @@ class EngineResult:
     for the process engine, and ``None`` for the sequential
     engine (whose execution is serialised, so a per-PE makespan is
     meaningless).
-    ``phase_times`` holds one ``{phase: seconds}`` dict per PE, filled by
-    ``comm.timed(...)`` blocks inside the SPMD program and aggregated
-    into the Tracer by the partitioner driver.  ``counters`` holds one
-    ``{name: value}`` dict per PE (``comm.count`` — checkpoint saves,
-    injected message faults, recv retries); ``events`` carries run-level
-    occurrences recorded by the engine itself (supervisor restarts, PEs
-    lost, recovery time).
+    ``metrics`` is the run's one metrics document: every PE's
+    ``comm.metrics`` registry folded by
+    :func:`~repro.observability.registry.merge_registry_docs` (counters
+    sum, gauges keep the max over PEs — ``phase_<name>_max_s`` is the
+    phase's critical-path wall time), plus the process engine's
+    supervisor events (restarts, PEs lost, recovery time) as counters.
     """
 
     results: List[Any]
@@ -175,9 +177,7 @@ class EngineResult:
     clocks: List[float] = field(default_factory=list)
     bytes_sent: int = 0
     messages_sent: int = 0
-    phase_times: List[Dict[str, float]] = field(default_factory=list)
-    counters: List[Dict[str, float]] = field(default_factory=list)
-    events: Dict[str, float] = field(default_factory=dict)
+    metrics: Dict[str, Any] = field(default_factory=dict)
     #: per-PE observability exports (``PeRecorder.export`` documents)
     #: when the run was observed; empty/None entries otherwise
     obs: List[Optional[Dict[str, Any]]] = field(default_factory=list)
@@ -185,7 +185,8 @@ class EngineResult:
 
 class CommBase:
     """Shared communicator plumbing: seed derivation (identical across
-    engines so partitions are bit-identical), per-PE phase timers, and
+    engines so partitions are bit-identical), the per-PE metrics
+    registry (phase timers and named counters), and
     the rank-order collective folds expressed over a single primitive,
     ``_exchange(value) -> [value_0, …, value_{p-1}]``.
 
@@ -203,8 +204,9 @@ class CommBase:
     def __init__(self) -> None:
         self.bytes_sent = 0
         self.messages_sent = 0
-        self.phase_times: Dict[str, float] = {}
-        self.counters: Dict[str, float] = {}
+        #: this PE's one metrics book: phase timers, named counters and,
+        #: when observed, the recorder's receive-wait histogram
+        self.metrics = MetricsRegistry()
         #: per-PE observability recorder (None by default — every hook
         #: site is a single ``is None`` test, so the off path is free)
         self.obs: Optional[Any] = None
@@ -215,9 +217,9 @@ class CommBase:
         self.obs = recorder
 
     def count(self, name: str, value: float = 1.0) -> None:
-        """Bump a per-PE named counter (returned to the driver via
-        ``EngineResult.counters`` and folded into the tracer)."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
+        """Bump a per-PE named counter in ``comm.metrics`` (summed over
+        PEs into ``EngineResult.metrics``)."""
+        self.metrics.counter(name).inc(value)
 
     def heartbeat(self, label: str) -> None:
         """Liveness signal at a phase boundary.  The base implementation
@@ -252,8 +254,8 @@ class CommBase:
 
     @contextmanager
     def timed(self, name: str):
-        """Accumulate wall-clock time of a program phase on this PE; the
-        engine returns the per-PE totals in ``EngineResult.phase_times``.
+        """Accumulate wall-clock time of a program phase on this PE into
+        the gauge ``phase_<name>_max_s`` (the max over PEs once merged).
         With an observability recorder attached, the block also opens a
         span that scopes comm-matrix phase attribution."""
         obs = self.obs
@@ -263,9 +265,8 @@ class CommBase:
         try:
             yield
         finally:
-            self.phase_times[name] = (
-                self.phase_times.get(name, 0.0) + time.perf_counter() - t0
-            )
+            gauge = self.metrics.gauge(f"phase_{name}_max_s")
+            gauge.set(gauge.value + time.perf_counter() - t0)
             if obs is not None:
                 obs.phase_end()
 

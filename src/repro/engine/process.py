@@ -12,8 +12,8 @@ This engine runs every PE as a real ``multiprocessing`` process:
 * collectives run as a deterministic star over rank 0 (gather in rank
   order, fold locally on every PE — the same rank-order fold as the
   other engines, so results are bit-identical);
-* per-PE results, phase timers and byte counts return to the parent over
-  dedicated result pipes.
+* per-PE results, metrics registries and byte counts return to the
+  parent over dedicated result pipes.
 
 Scheduling is OS-level and non-deterministic, but every SPMD phase draws
 randomness from ``comm.derive_rng`` and communicates through matching
@@ -49,6 +49,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..graph.csr import Graph
+from ..observability.registry import merge_registry_docs
 from ..resilience.faults import InjectedCrash, MessageFaultInjector
 from ..resilience.policy import ResiliencePolicy
 from ..resilience.supervisor import Supervisor, classify_statuses
@@ -109,7 +110,7 @@ class ProcessComm(CommBase):
             assert policy is not None
             self._injector = MessageFaultInjector(
                 policy.faults, rank, policy.fault_seed, attempt,
-                self.counters,
+                self.metrics,
             )
 
     @property
@@ -319,10 +320,9 @@ def _worker_main(rank: int, size: int, peers: Dict[int, Any], result_conn,
             "wall_s": time.perf_counter() - t0,
             "bytes_sent": comm.bytes_sent,
             "messages_sent": comm.messages_sent,
-            "phase_times": dict(comm.phase_times),
-            "counters": dict(comm.counters),
+            "metrics": comm.metrics.export(),
             # per-PE observability export (wire-codec-friendly dict of
-            # spans/comm cells/metrics) rides home with the stats
+            # spans/comm cells/events) rides home with the stats
             "obs": comm.obs.export() if comm.obs is not None else None,
         }
 
@@ -597,8 +597,11 @@ class ProcessEngine(Engine):
             clocks=walls,
             bytes_sent=sum(int(s["bytes_sent"]) for s in all_stats),
             messages_sent=sum(int(s["messages_sent"]) for s in all_stats),
-            phase_times=[dict(s["phase_times"]) for s in all_stats],
-            counters=[dict(s.get("counters", {})) for s in all_stats],
-            events=dict(supervisor.events) if supervisor is not None else {},
+            # supervisor events (restarts, PEs lost, recovery time) are
+            # run-level counters beside the per-PE books
+            metrics=merge_registry_docs(
+                [s["metrics"] for s in all_stats]
+                + [{"counters": supervisor.events}
+                   if supervisor is not None else None]),
             obs=[s.get("obs") for s in all_stats],
         )

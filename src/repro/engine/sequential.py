@@ -28,6 +28,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..observability.registry import merge_registry_docs
 from ..parallel.costmodel import payload_nbytes
 from .base import Comm, CommBase, DeadlockError, Engine, EngineResult
 
@@ -269,8 +270,7 @@ class SequentialEngine(Engine):
             clocks=[],
             bytes_sent=sum(c.bytes_sent for c in comms),
             messages_sent=sum(c.messages_sent for c in comms),
-            phase_times=[dict(c.phase_times) for c in comms],
-            counters=[dict(c.counters) for c in comms],
+            metrics=merge_registry_docs(c.metrics.export() for c in comms),
             obs=[c.obs.export() if c.obs is not None else None
                  for c in comms],
         )

@@ -103,7 +103,8 @@ def write_metis(g: Graph, f: PathLike) -> None:
 
 
 def read_metis(f: PathLike) -> Graph:
-    """Read a METIS .graph file (supports fmt codes 0/1/10/11).
+    """Read a METIS .graph file (fmt codes 0/1/10/11, also written with
+    three digits as 000/001/010/011).
 
     Every arc must name a neighbour in ``1..n`` and appear on both of
     its endpoints' lines with the same weight, and every weight must be
@@ -135,9 +136,14 @@ def read_metis(f: PathLike) -> Graph:
             f"{len(header)} field(s)")
     n = _count(header[0], head_no, "node count")
     m = _count(header[1], head_no, "edge count")
+    # fmt is up to three binary flags, right-aligned: vertex sizes,
+    # vertex weights, edge weights
     fmt = header[2] if len(header) > 2 else "0"
-    fmt = fmt.zfill(2)
-    has_vw, has_ew = fmt[0] == "1", fmt[1] == "1"
+    if len(fmt) > 3 or set(fmt) - {"0", "1"} or fmt.zfill(3)[0] == "1":
+        raise ValueError(
+            f"line {head_no}: unsupported METIS fmt {fmt!r} (up to 3 "
+            "binary digits; vertex sizes are not supported)")
+    has_vw, has_ew = (flag == "1" for flag in fmt.zfill(3)[1:])
     ncon = (_count(header[3], head_no, "constraint count")
             if len(header) > 3 else 1)
     if ncon != 1:

@@ -2,11 +2,12 @@
 
 The layer has three recording primitives and four consumers:
 
-* recording — :class:`SpanRecorder` (nested wall/CPU spans per PE),
+* recording — :class:`SpanRecorder` (nested wall/CPU spans per PE) and
   :class:`CommMatrix` (messages/bytes/recv-wait per (src, dst, tag,
-  phase)) and :class:`MetricsRegistry` (counters/gauges/histograms),
-  bundled per rank by :class:`PeRecorder` and attached to a
-  communicator with :func:`observe_comm`;
+  phase)), bundled per rank by :class:`PeRecorder` and attached to a
+  communicator with :func:`observe_comm`, plus
+  :class:`MetricsRegistry` (counters/gauges/histograms), the one
+  metrics book every communicator (``comm.metrics``) and run keeps;
 * export — Chrome ``trace_event`` JSON (:func:`chrome_trace`, one track
   per PE, loadable in Perfetto), Prometheus text exposition
   (:func:`prometheus_exposition`) and the JSONL run journal

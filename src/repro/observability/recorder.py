@@ -16,8 +16,8 @@ per rank and the engine hooks start feeding it:
   sequential, simulated and process run of the same program agree cell
   for cell — and retry/duplicate traffic from the resilience layer shows
   up as extra messages on the same cells.
-* a per-PE :class:`~repro.observability.registry.MetricsRegistry` for
-  distribution-style data (receive-wait histogram, queue depths).
+* the receive-wait histogram ``recv_wait_s``, kept in the PE's one
+  metrics registry, the communicator's ``comm.metrics``.
 
 Collectives are recorded through :meth:`PeRecorder.on_collective` under
 the deterministic star model every engine's collectives reduce to (rank
@@ -44,7 +44,8 @@ order, so equal round numbers identify the same collective on every PE.
 
 At run end every PE's :meth:`PeRecorder.export` travels back through
 ``EngineResult.obs`` (the process engine sends it over the wire codec)
-and rank 0 / the driver merges them with :func:`merge_pe_obs`.
+and the driver merges them with :func:`merge_pe_obs`; the metrics travel
+separately, once, in ``EngineResult.metrics``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .registry import MetricsRegistry, merge_registry_docs
+from .registry import MetricsRegistry
 
 __all__ = [
     "CommMatrix",
@@ -170,20 +171,23 @@ class CommMatrix:
 
 
 class PeRecorder:
-    """One rank's observability bundle: spans + comm matrix + metrics.
+    """One rank's observability bundle: spans + comm matrix + events.
 
     The engine hooks (``on_send`` / ``on_recv_wait`` / ``on_collective``)
     and the phase hooks (driven by ``comm.timed``) are only reached when
     a recorder is attached, so none of this costs anything by default.
+    The receive-wait histogram goes into ``metrics``: ``comm.metrics``
+    when :func:`observe_comm` attaches it, else a registry of its own.
     """
 
     enabled = True
 
-    def __init__(self, rank: int) -> None:
+    def __init__(self, rank: int,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.rank = rank
         self.spans = SpanRecorder()
         self.matrix = CommMatrix()
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         self._wait_hist = self.metrics.histogram(
             "recv_wait_s",
             buckets=(1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0),
@@ -297,7 +301,6 @@ class PeRecorder:
             "pe": self.rank,
             "spans": list(self.spans.spans),
             "comm": self.matrix.export(),
-            "metrics": self.metrics.export(),
             "events": list(self.events),
             "t0_s": float(self.t0_s),
             "t1_s": float(self.t1_s),
@@ -314,7 +317,7 @@ def observe_comm(comm: Any, cfg: Any) -> None:
         return
     attach = getattr(comm, "attach_obs", None)
     if attach is not None and getattr(comm, "obs", None) is None:
-        attach(PeRecorder(comm.rank))
+        attach(PeRecorder(comm.rank, getattr(comm, "metrics", None)))
 
 
 class _NullContext:
@@ -340,8 +343,8 @@ def maybe_span(comm: Any, name: str):
 def merge_pe_obs(pe_docs: List[Optional[Dict[str, Any]]],
                  ) -> Optional[Dict[str, Any]]:
     """Merge per-PE :meth:`PeRecorder.export` documents into the run-level
-    observability document (``spans`` / ``comm_matrix`` / ``metrics`` /
-    ``events``)."""
+    observability document (``spans`` / ``comm_matrix`` / ``events``;
+    the driver adds the run's ``metrics``)."""
     docs = [d for d in pe_docs if d]
     if not docs:
         return None
@@ -378,7 +381,5 @@ def merge_pe_obs(pe_docs: List[Optional[Dict[str, Any]]],
                   key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]),
                                   kv[0][3]))
     ]
-    metrics = merge_registry_docs([d.get("metrics") for d in docs])
     return {"pes": len(docs), "spans": spans, "comm_matrix": comm_matrix,
-            "metrics": metrics,
             "events": {"records": events, "clocks": clocks}}

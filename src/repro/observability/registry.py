@@ -1,17 +1,17 @@
 """Metrics registry: counters, gauges and histograms with exporters.
 
-One registry per run (and one per PE under observability).  The ad-hoc
-``stats`` dictionaries the driver used to assemble by hand now flow
-through here — :meth:`MetricsRegistry.scalars` reproduces the flat
-``{name: value}`` view for ``KappaResult.stats``, while the full export
-(:meth:`MetricsRegistry.export`) additionally keeps instrument types and
-histogram shapes, and :meth:`MetricsRegistry.to_prometheus` renders the
-standard Prometheus text exposition (counters, gauges and cumulative
+A partitioning run keeps one book: every PE's communicator owns a
+registry (``comm.metrics``: phase timers, counters, the observed
+receive-wait histogram), the engine folds them with
+:func:`merge_registry_docs` (counters and histograms sum; gauges keep
+the max across PEs, the right fold for per-PE phase maxima and
+high-water marks), and the driver merges that document with its own
+run registry into ``KappaResult.metrics``, of which
+``KappaResult.stats`` is a flat view.  :meth:`MetricsRegistry.export`
+keeps instrument types and histogram shapes, and
+:meth:`MetricsRegistry.to_prometheus` renders the standard Prometheus
+text exposition (counters, gauges and cumulative
 ``_bucket``/``_sum``/``_count`` histogram series).
-
-Merging: per-PE registries are folded with :func:`merge_registry_docs`
-(counters and histograms sum; gauges keep the max across PEs, the right
-fold for high-water marks like queue depths).
 """
 
 from __future__ import annotations
@@ -145,17 +145,10 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # -- bulk loading ----------------------------------------------------
-    def count_all(self, values: Optional[Dict[str, float]]) -> None:
-        """Fold a flat counter dict (tracer totals, per-PE counters)."""
-        for name, value in (values or {}).items():
-            self.counter(name).inc(float(value))
-
     # -- views -----------------------------------------------------------
     def scalars(self) -> Dict[str, float]:
-        """Flat ``{name: value}`` over counters and gauges — the view
-        ``KappaResult.stats`` is built from (histograms appear as
-        ``<name>_sum``/``<name>_count``)."""
+        """Flat ``{name: value}`` over counters and gauges (histograms
+        appear as ``<name>_sum``/``<name>_count``)."""
         out: Dict[str, float] = {}
         for name, metric in self._metrics.items():
             if isinstance(metric, Histogram):

@@ -31,8 +31,10 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..core import metrics
+from ..instrument.tracer import NULL_TRACER
 
-__all__ = ["BalanceState", "exact_lmax", "rebalance"]
+__all__ = ["BalanceState", "ensure_feasible", "exact_lmax", "is_feasible",
+           "rebalance"]
 
 
 def exact_lmax(total: float, wmax: float, k: int,
@@ -134,6 +136,29 @@ class BalanceState:
             return self.block_w[:, 0].copy()
         safe = np.where(self.lmax > 0, self.lmax, 1.0)
         return (self.block_w / safe).max(axis=1)
+
+
+def is_feasible(g: Graph, part: np.ndarray, k: int, epsilon: float,
+                epsilons: Optional[Sequence[float]] = None) -> bool:
+    """True when every block fits its ``L_max`` in every constraint
+    dimension (``epsilons`` per dimension, default ``epsilon``)."""
+    return metrics.is_balanced(g, part, k, epsilon) and (
+        (g.n_constraints == 1 and epsilons is None)
+        or BalanceState(g, part, k, epsilon=epsilon,
+                        epsilons=epsilons).is_feasible())
+
+
+def ensure_feasible(g: Graph, part: np.ndarray, k: int, epsilon: float,
+                    seed: int, epsilons: Optional[Sequence[float]] = None,
+                    tracer=NULL_TRACER) -> np.ndarray:
+    """The pipelines' feasibility step: ``part`` unchanged when
+    :func:`is_feasible`, else :func:`rebalance` with
+    ``default_rng(seed)`` (counted as ``rebalance_invocations``)."""
+    if is_feasible(g, part, k, epsilon, epsilons):
+        return part
+    tracer.count("rebalance_invocations")
+    return rebalance(g, part, k, epsilon, rng=np.random.default_rng(seed),
+                     epsilons=epsilons)
 
 
 def rebalance(

@@ -59,7 +59,6 @@ import numpy as np
 from ..engine.base import Comm
 from ..graph.build import from_edge_list
 from ..graph.csr import Graph
-from ..graph.quotient import quotient_graph
 from ..core import metrics
 from ..instrument.tracer import NULL_TRACER
 from ..parallel.coloring import (coloring_to_matchings,
@@ -617,7 +616,7 @@ def pairwise_refinement_spmd(
 
     no_change_streak = 0
     for git in range(max_global_iterations):
-        q = quotient_graph(g, part, k)
+        q = _schedule_quotient(g, part, k, near_cut)
         if q.m == 0:
             break
         colors = distributed_edge_coloring(q, seed=seed + git, comm=comm)

@@ -33,9 +33,11 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+from ..observability.registry import MetricsRegistry
 
 __all__ = [
     "FaultClause",
@@ -200,28 +202,26 @@ class MessageFaultInjector:
 
     Decisions are drawn from ``default_rng((seed, 0xFA17, rank, attempt))``
     so the same run injects the same faults on the same messages.  Faults
-    surface as *send-side latency* plus counters: drop emulates a lost
+    surface as *send-side latency* plus counters in the PE's metrics
+    registry (``comm.metrics``): drop emulates a lost
     frame recovered by the reliable transport after one RTO, dup asks the
     sender to transmit the frame twice (the receiver's sequence filter
     discards the copy).
     """
 
     def __init__(self, plan: FaultPlan, rank: int, seed: int, attempt: int,
-                 counters: Dict[str, float]) -> None:
+                 metrics: MetricsRegistry) -> None:
         self.drop_p, self.delay_s, self.dup_p = plan.message_profile(rank)
         self._rng = np.random.default_rng(
             (int(seed), 0xFA17, int(rank), int(attempt))
         )
-        self.counters = counters
+        self.metrics = metrics
         #: retransmission timeout charged for a "dropped" frame
         self.rto_s = max(2.0 * self.delay_s, 0.02)
 
     @property
     def active(self) -> bool:
         return self.drop_p > 0 or self.delay_s > 0 or self.dup_p > 0
-
-    def _count(self, name: str) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + 1.0
 
     def plan_send(self) -> Tuple[float, int]:
         """Decide the fate of the next outgoing message: returns
@@ -230,13 +230,13 @@ class MessageFaultInjector:
         copies = 1
         if self.delay_s > 0:
             sleep_s += self.delay_s
-            self._count("fault_messages_delayed")
+            self.metrics.counter("fault_messages_delayed").inc()
         if self.drop_p > 0 and self._rng.random() < self.drop_p:
             sleep_s += self.rto_s
-            self._count("fault_messages_dropped")
+            self.metrics.counter("fault_messages_dropped").inc()
         if self.dup_p > 0 and self._rng.random() < self.dup_p:
             copies = 2
-            self._count("fault_messages_duplicated")
+            self.metrics.counter("fault_messages_duplicated").inc()
         return sleep_s, copies
 
     def apply_send_latency(self, sleep_s: float) -> None:

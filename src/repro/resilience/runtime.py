@@ -86,12 +86,6 @@ class SpmdResilience:
         self.checkpoint_phases = checkpoint_phases
         self.attempt = int(getattr(comm, "attempt", 0))
 
-    # -- counters -------------------------------------------------------
-    def _count(self, name: str, value: float = 1.0) -> None:
-        count = getattr(self.comm, "count", None)
-        if count is not None:
-            count(name, value)
-
     # -- checkpoints ----------------------------------------------------
     def phase_enabled(self, key: str) -> bool:
         """Whether boundary ``key`` writes a checkpoint, per the
@@ -111,7 +105,7 @@ class SpmdResilience:
             return None
         state = self.store.load(key)
         if self.comm.rank == 0:
-            self._count("checkpoint_restores")
+            self.comm.count("checkpoint_restores")
         return state
 
     def latest_refine(self) -> Optional[Tuple[int, Dict[str, Any]]]:
@@ -147,15 +141,13 @@ class SpmdResilience:
         if (state is not None and self.store is not None
                 and comm.rank == 0 and self.phase_enabled(key)):
             self.store.save(key, state)
-            self._count("checkpoint_saves")
+            comm.count("checkpoint_saves")
 
     def _fire(self, clause, key: str) -> None:
         comm = self.comm
-        fault_event = getattr(comm, "fault_event", None)
         hard_crash = getattr(comm, "hard_crash", None)
         if clause.kind == "crash":
-            if fault_event is not None:
-                fault_event("fault_injected_crashes")
+            comm.fault_event("fault_injected_crashes")
             if hard_crash is not None:
                 hard_crash()
             raise InjectedCrash(
@@ -163,8 +155,7 @@ class SpmdResilience:
             )
         # hang: stop heartbeating and wedge.  Only meaningful where a
         # supervisor can observe the silence and kill us.
-        if fault_event is not None:
-            fault_event("fault_injected_hangs")
+        comm.fault_event("fault_injected_hangs")
         if hard_crash is None:
             raise InjectedCrash(
                 f"PE {comm.rank}: injected hang at boundary {key!r} "

@@ -10,7 +10,7 @@ from repro.core import (FAST, MINIMAL, incremental_repartition, metrics,
                         partition_graph)
 from repro.experiments.repartition_exp import perturb_weights as grow_weights
 from repro.generators import delaunay_graph, load
-from repro.graph import Graph
+from repro.graph import Graph, validate_partition
 
 
 def perturb_weights(g, seed=0, frac=0.1):
@@ -107,6 +107,62 @@ class TestRepartition:
         moved = res.partition.part != base.partition.part
         assert res.migrated_nodes == int(moved.sum())
         assert np.isclose(res.migrated_weight, g2.vwgt[moved].sum())
+
+
+class TestRunConfigForwarded:
+    """The band refinement optimises what the run asks for: the
+    per-dimension ``epsilons`` and, under ``objective="mapping"``, the
+    mapping topology reach ``pairwise_refinement``, and the feasibility
+    checks read every constraint dimension."""
+
+    @staticmethod
+    def _refine_kwargs(monkeypatch, g, g2, config, k=4):
+        """Repartition ``g2`` from a partition of ``g``; returns the
+        keyword arguments ``pairwise_refinement`` saw and the result."""
+        import repro.core.incremental as inc
+
+        seen = {}
+        real = inc.pairwise_refinement
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inc, "pairwise_refinement", spy)
+        old = partition_graph(g, k, config=MINIMAL, seed=0).partition.part
+        return seen, repartition(g2, old, k, config=config, seed=1)
+
+    def test_mapping_topology(self, monkeypatch):
+        g = delaunay_graph(300, seed=5)
+        seen, _ = self._refine_kwargs(
+            monkeypatch, g, perturb_weights(g, seed=3),
+            MINIMAL.derive(objective="mapping"))
+        assert seen["topology"] is not None and seen["topology"].k == 4
+
+    def test_cut_objective_has_no_topology(self, monkeypatch):
+        g = delaunay_graph(300, seed=5)
+        seen, _ = self._refine_kwargs(monkeypatch, g,
+                                      perturb_weights(g, seed=3), MINIMAL)
+        assert seen["topology"] is None and seen["epsilons"] is None
+
+    def test_multi_constraint_epsilons(self, monkeypatch):
+        g = delaunay_graph(300, seed=5)
+        rng = np.random.default_rng(2)
+
+        def two_dims(extra):
+            return Graph(g.xadj, g.adjncy, g.adjwgt, g.vwgt,
+                         coords=g.coords,
+                         vwgts=np.column_stack([g.vwgt, extra]))
+
+        extra = rng.integers(1, 6, g.n).astype(float)
+        grown = extra.copy()
+        grown[rng.choice(g.n, size=g.n // 5, replace=False)] *= 3.0
+        cfg = MINIMAL.derive(epsilons=(0.03, 0.1))
+        seen, res = self._refine_kwargs(monkeypatch, two_dims(extra),
+                                        two_dims(grown), cfg)
+        assert tuple(seen["epsilons"]) == (0.03, 0.1)
+        validate_partition(two_dims(grown), res.partition.part, 4,
+                           epsilons=(0.03, 0.1))
 
 
 def test_bench_cell_pinned():

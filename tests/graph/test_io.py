@@ -55,6 +55,31 @@ class TestMetis:
         header = buf.getvalue().splitlines()[0]
         assert header == f"{grid8.n} {grid8.m}"
 
+    @pytest.mark.parametrize("fmt,body,vwgt,ewgt", [
+        ("0", "2\n1\n", [1, 1], 1.0),
+        ("00", "2\n1\n", [1, 1], 1.0),
+        ("001", "2 4\n1 4\n", [1, 1], 4.0),
+        ("1", "2 4\n1 4\n", [1, 1], 4.0),
+        ("010", "5 2\n7 1\n", [5, 7], 1.0),
+        ("10", "5 2\n7 1\n", [5, 7], 1.0),
+        ("011", "5 2 4\n7 1 4\n", [5, 7], 4.0),
+        ("11", "5 2 4\n7 1 4\n", [5, 7], 4.0),
+    ])
+    def test_fmt_codes_right_aligned(self, fmt, body, vwgt, ewgt):
+        g = read_metis(io.StringIO(f"2 1 {fmt}\n{body}"))
+        assert g.vwgt.tolist() == vwgt
+        assert g.edge_weight(0, 1) == ewgt
+
+    @pytest.mark.parametrize("fmt", ["100", "101", "110", "111"])
+    def test_vertex_sizes_rejected(self, fmt):
+        with pytest.raises(ValueError, match=r"^line 1: .*vertex sizes"):
+            read_metis(io.StringIO(f"2 1 {fmt}\n5 2\n7 1\n"))
+
+    @pytest.mark.parametrize("fmt", ["abc", "2", "012", "0001", "-1", "1e1"])
+    def test_non_binary_fmt_rejected(self, fmt):
+        with pytest.raises(ValueError, match=r"^line 2: .*fmt"):
+            read_metis(io.StringIO(f"% c\n2 1 {fmt}\n2\n1\n"))
+
     def test_comment_lines_skipped(self):
         text = "% a comment\n3 2\n2\n1 3\n2\n"
         g = read_metis(io.StringIO(text))

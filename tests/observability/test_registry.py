@@ -51,13 +51,6 @@ class TestInstruments:
         with pytest.raises(TypeError, match="is a counter"):
             reg.gauge("x")
 
-    def test_count_all_folds_flat_dict(self):
-        reg = MetricsRegistry()
-        reg.count_all({"a": 1, "b": 2.5})
-        reg.count_all({"a": 4})
-        assert reg.export()["counters"] == {"a": 5.0, "b": 2.5}
-        reg.count_all(None)  # tolerated
-
     def test_scalars_flattens_histograms(self):
         reg = MetricsRegistry()
         reg.histogram("wait", buckets=(1.0,)).observe(0.5)

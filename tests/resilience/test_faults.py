@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.resilience import (
     FaultClause,
     FaultPlan,
@@ -109,10 +110,10 @@ class TestMessageProfile:
 
 
 class TestMessageFaultInjector:
-    def _make(self, spec, rank=0, seed=7, attempt=0, counters=None):
+    def _make(self, spec, rank=0, seed=7, attempt=0, metrics=None):
         return MessageFaultInjector(
             FaultPlan.parse(spec), rank, seed, attempt,
-            counters if counters is not None else {},
+            metrics if metrics is not None else MetricsRegistry(),
         )
 
     def test_inactive_without_message_faults(self):
@@ -130,12 +131,12 @@ class TestMessageFaultInjector:
         assert [inj3.plan_send() for _ in range(50)] != seq1
 
     def test_counters_and_outcomes(self):
-        counters = {}
-        inj = self._make("drop=1,dup=1,delay=1ms", counters=counters)
+        metrics = MetricsRegistry()
+        inj = self._make("drop=1,dup=1,delay=1ms", metrics=metrics)
         sleep_s, copies = inj.plan_send()
         assert copies == 2  # dup fired (p=1)
         assert sleep_s == pytest.approx(0.001 + inj.rto_s)
-        assert counters == {
+        assert metrics.export()["counters"] == {
             "fault_messages_delayed": 1.0,
             "fault_messages_dropped": 1.0,
             "fault_messages_duplicated": 1.0,

@@ -205,7 +205,7 @@ class TestRecvRetries:
                          resilience=policy)
         res = eng.run(late_sender)
         assert res.results[0] == "late"
-        assert res.counters[0].get("fault_recv_retries", 0) >= 1
+        assert res.metrics["counters"].get("fault_recv_retries", 0) >= 1
 
     def test_without_retries_the_same_program_deadlocks(self):
         def late_sender(comm):
