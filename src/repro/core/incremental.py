@@ -17,7 +17,7 @@ assignment instead:
    lightest block when isolated),
 3. **rebalance** if the changes broke the balance constraint,
 4. run the paper's **pairwise refinement**
-   (:func:`~repro.refinement.pairwise.pairwise_refinement`) confined to
+   (:func:`~repro.core.spmd.refine`) confined to
    a BFS band of configurable width around the dirty nodes, so clean
    regions are never touched — with every node dirty this is a plain
    repartitioning of a changed graph, and
@@ -46,12 +46,11 @@ from ..graph.csr import Graph
 from ..kernels import dispatch
 from ..observability import MetricsRegistry
 from ..refinement.balance import ensure_feasible, is_feasible
-from ..refinement.pairwise import pairwise_refinement
 from . import metrics
 from .config import FAST, KappaConfig
-from .objectives import resolve_topology
 from .partition import Partition
 from .partitioner import partition_graph
+from .spmd import refine
 
 __all__ = [
     "IncrementalResult",
@@ -171,22 +170,7 @@ def incremental_repartition(
 
     band = dirty_band_mask(g, dirty_nodes, config.incremental_band_width)
     n_band = int(band.sum())
-    part = pairwise_refinement(
-        g, part, k,
-        epsilon=config.epsilon,
-        bfs_depth=config.bfs_band_depth,
-        alpha=config.fm_alpha,
-        queue_selection=config.queue_selection,
-        local_iterations=config.local_iterations,
-        max_global_iterations=config.max_global_iterations,
-        stop_rule=config.stop_rule,
-        seed=seed,
-        matching_selection=config.matching_selection,
-        pair_algorithm=config.refine_algorithm,
-        epsilons=config.epsilons,
-        topology=resolve_topology(config.objective, config.topology, k),
-        within=band,
-    )
+    part = refine(g, part, k, seed, config, within=band)
 
     cut = metrics.cut_value(g, part)
     fallback_reason = None

@@ -40,7 +40,6 @@ from ..instrument import (
 )
 from ..observability import MetricsRegistry, merge_pe_obs, merge_registry_docs
 from ..refinement.balance import ensure_feasible
-from ..refinement.pairwise import pairwise_refinement
 from ..engine import EngineResult, SimulatedEngine, get_engine
 from ..parallel.costmodel import DEFAULT_MACHINE, MachineModel
 from ..resilience.policy import ResiliencePolicy
@@ -48,7 +47,7 @@ from . import metrics
 from .config import FAST, KappaConfig
 from .objectives import mapping_cost, resolve_topology
 from .partition import Partition
-from .spmd import kappa_spmd_program
+from .spmd import kappa_spmd_program, refine
 
 __all__ = ["KappaResult", "KappaPartitioner", "partition_graph"]
 
@@ -211,7 +210,8 @@ class KappaPartitioner:
                         level=level - 1,
                     )
                 t_lvl = time.perf_counter()
-                part = self._refine(fine_g, part, k, seed + level, tracer)
+                part = refine(fine_g, part, k, seed + level, cfg,
+                              tracer=tracer)
                 cut = metrics.cut_value(fine_g, part)
                 level_cuts.append(cut)
                 if tracer.enabled:
@@ -223,7 +223,7 @@ class KappaPartitioner:
                     )
             if hierarchy.depth == 1:
                 t_lvl = time.perf_counter()
-                part = self._refine(g, part, k, seed, tracer)
+                part = refine(g, part, k, seed, cfg, tracer=tracer)
                 cut = metrics.cut_value(g, part)
                 level_cuts.append(cut)
                 if tracer.enabled:
@@ -276,29 +276,6 @@ class KappaPartitioner:
             registry.gauge("mapping_cost").set(mapping_cost(g, part, topo))
         return partition_obj, merge_registry_docs(
             [registry.export(), res.metrics if res is not None else None])
-
-    def _refine(self, g: Graph, part: np.ndarray, k: int, seed: int,
-                tracer=NULL_TRACER) -> np.ndarray:
-        cfg = self.config
-        if k == 1:
-            return part
-        return pairwise_refinement(
-            g, part, k,
-            epsilon=cfg.epsilon,
-            bfs_depth=cfg.bfs_band_depth,
-            alpha=cfg.fm_alpha,
-            queue_selection=cfg.queue_selection,
-            local_iterations=cfg.local_iterations,
-            max_global_iterations=cfg.max_global_iterations,
-            stop_rule=cfg.stop_rule,
-            seed=seed,
-            matching_selection=cfg.matching_selection,
-            pair_algorithm=cfg.refine_algorithm,
-            epsilons=cfg.epsilons,
-            topology=resolve_topology(cfg.objective, cfg.topology, k,
-                                      machine=self.machine),
-            tracer=tracer,
-        )
 
     # ------------------------------------------------------------------
     def _partition_cluster(self, g: Graph, k: int, seed: int,

@@ -16,7 +16,7 @@ not inherit the parent's backend context under ``spawn``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,17 +28,19 @@ from ..coarsening.prepartition import prepartition
 from ..engine.base import Comm
 from ..graph.csr import Graph
 from ..initial.runner import initial_partition_spmd
+from ..instrument.tracer import NULL_TRACER
 from ..observability import maybe_span, observe_comm
 from ..refinement.balance import ensure_feasible
-from ..refinement.pairwise import pairwise_refinement_spmd
+from ..refinement.pairwise import pairwise_refinement
 from ..resilience.runtime import (
     pack_coarsening,
     spmd_resilience,
     unpack_coarsening,
 )
 from .config import KappaConfig
+from .objectives import resolve_topology
 
-__all__ = ["kappa_spmd_program"]
+__all__ = ["kappa_spmd_program", "refine"]
 
 
 def kappa_spmd_program(comm: Comm, g: Graph, k: int, seed: int,
@@ -66,6 +68,10 @@ def kappa_spmd_program(comm: Comm, g: Graph, k: int, seed: int,
     # to hold (the cross-engine suite asserts it)
     observe_comm(comm, cfg)
     rz = spmd_resilience(comm, g, k, seed, cfg)
+    # every run reports the phase gauges, 0.0 when a restored ``final``
+    # skips the phases
+    for phase in ("coarsening", "initial_partitioning", "refinement"):
+        comm.metrics.gauge(f"phase_{phase}_max_s")
     final = rz.restore("final")
     if final is not None:
         return (np.asarray(final["part"]), int(final["depth"]),
@@ -101,13 +107,13 @@ def kappa_spmd_program(comm: Comm, g: Graph, k: int, seed: int,
             for level in range(start_level, 0, -1):
                 with maybe_span(comm, f"refine:level{level - 1}"):
                     part = hierarchy.project(part, level)
-                    part = _refine_spmd(comm, hierarchy.graphs[level - 1],
-                                        part, k, seed + level, cfg)
+                    part = refine(hierarchy.graphs[level - 1], part, k,
+                                  seed + level, cfg, comm=comm)
                 rz.boundary(f"refine:level{level - 1}",
                             state={"part": part, "level": level - 1})
             if hierarchy.depth == 1 and resume is None:
                 with maybe_span(comm, "refine:level0"):
-                    part = _refine_spmd(comm, g, part, k, seed, cfg)
+                    part = refine(g, part, k, seed, cfg, comm=comm)
                 rz.boundary("refine:level0",
                             state={"part": part, "level": 0})
             part = ensure_feasible(g, part, k, cfg.epsilon, seed,
@@ -148,16 +154,21 @@ def _coarsen_spmd(comm: Comm, g: Graph, k: int, seed: int,
     return Hierarchy(graphs=graphs, maps=maps), owner
 
 
-def _refine_spmd(comm: Comm, g: Graph, part: np.ndarray, k: int,
-                 seed: int, cfg: KappaConfig) -> np.ndarray:
-    """Pairwise band refinement per level (§5)."""
+def refine(g: Graph, part: np.ndarray, k: int, seed: int,
+           cfg: KappaConfig, comm: Optional[Comm] = None,
+           within: Optional[np.ndarray] = None,
+           tracer=NULL_TRACER) -> np.ndarray:
+    """Pairwise band refinement (§5) of ``part`` on ``g`` with ``cfg``'s
+    settings: the one mapping of a config onto
+    :func:`~repro.refinement.pairwise.pairwise_refinement`, for the
+    sequential pipeline, this SPMD program (``comm``) and the
+    incremental repartitioner (``within``).  Without a ``comm`` the
+    edge-coloring schedule uses the fast greedy coloring; with one,
+    every PE replays the distributed coloring."""
     if k == 1:
         return part
-    from .objectives import resolve_topology
-    return pairwise_refinement_spmd(
-        comm, g, part,
-        k=k,
-        pair_algorithm=cfg.refine_algorithm,
+    return pairwise_refinement(
+        g, part, k,
         epsilon=cfg.epsilon,
         bfs_depth=cfg.bfs_band_depth,
         alpha=cfg.fm_alpha,
@@ -166,6 +177,12 @@ def _refine_spmd(comm: Comm, g: Graph, part: np.ndarray, k: int,
         max_global_iterations=cfg.max_global_iterations,
         stop_rule=cfg.stop_rule,
         seed=seed,
+        coloring="greedy" if comm is None else "distributed",
+        matching_selection=cfg.matching_selection,
+        pair_algorithm=cfg.refine_algorithm,
         epsilons=cfg.epsilons,
         topology=resolve_topology(cfg.objective, cfg.topology, k),
+        within=within,
+        comm=comm,
+        tracer=tracer,
     )

@@ -132,6 +132,9 @@ class Comm(Protocol):
         self, ops: Callable[[], Iterable[Tuple[float, int, int]]],
     ) -> None: ...
 
+    def model_sendrecv(self, peer: int, tag: int,
+                       cost: Callable[[], Tuple[float, int]]) -> None: ...
+
     # -- point to point -------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None: ...
 
@@ -251,6 +254,16 @@ class CommBase:
         followed by a collective of an ``nbytes`` payload, ``factor`` 2
         for an ``alltoall``.  Nothing is sent and no message or byte is
         booked; engines without a cost model never call ``ops``."""
+
+    def model_sendrecv(self, peer: int, tag: int,
+                       cost: Callable[[], Tuple[float, int]]) -> None:
+        """Charge the cost of a point-to-point exchange the program
+        skips because ``peer`` already holds the payload: a ``sendrecv``
+        of ``nbytes`` with ``peer`` on ``tag`` followed by
+        ``compute(work)``, where ``(work, nbytes) = cost()`` (only the
+        ``compute`` when ``peer`` is this PE).  Both sides call it.
+        Nothing is sent and no message or byte is booked; engines
+        without a cost model never call ``cost``."""
 
     @contextmanager
     def timed(self, name: str):

@@ -145,6 +145,10 @@ class SequentialComm(CommBase):
         self.messages_sent += 1
         if self.obs is not None:
             self.obs.on_send(self.rank, dest, tag, obj)
+        self._post(dest, tag, obj)
+
+    def _post(self, dest: int, tag: int, obj: Any) -> None:
+        """Append ``obj`` to the (rank, dest, tag) channel, unbooked."""
         sh = self.shared
         with sh.cv:
             sh.mail.setdefault((self.rank, dest, tag), deque()).append(obj)
@@ -158,6 +162,14 @@ class SequentialComm(CommBase):
             raise ValueError(f"bad source {source}")
         obs = self.obs
         t0 = time.perf_counter() if obs is not None else 0.0
+        obj = self._take(source, tag)
+        if obs is not None:
+            obs.on_recv_wait(source, self.rank, tag, time.perf_counter() - t0)
+        return obj
+
+    def _take(self, source: int, tag: int) -> Any:
+        """Block until the (source, rank, tag) channel holds an entry;
+        pop it, unbooked."""
         sh = self.shared
         with sh.cv:
             q = sh.mail.setdefault((source, self.rank, tag), deque())
@@ -165,9 +177,6 @@ class SequentialComm(CommBase):
                 self.rank, lambda: len(q) > 0,
                 f"recv(source={source}, tag={tag})",
             )
-            if obs is not None:
-                obs.on_recv_wait(source, self.rank, tag,
-                                 time.perf_counter() - t0)
             return q.popleft()
 
     # -- collectives ------------------------------------------------------

@@ -9,7 +9,8 @@ every collective syncs all clocks to the latest participant, then
 charges ``collective_time(p, nbytes)`` (twice for ``alltoall``).
 Collectives the program replays locally instead of exchanging reach the
 clock through ``model_collectives``, which syncs and charges the same
-way without sending anything.
+way without sending anything; ``model_sendrecv`` does the same for a
+skipped point-to-point exchange.
 
 The clocks are thus a pure function of the program, so this *is* the
 token-passing :class:`~repro.engine.sequential.SequentialEngine` with
@@ -97,6 +98,22 @@ class SimulatedComm(SequentialComm):
             self.compute(work)
             self._exchange(None)
             self._charge(nbytes, factor)
+
+    def model_sendrecv(self, peer: int, tag: int,
+                       cost: Callable[[], Tuple[float, int]]) -> None:
+        """Advance the clocks exactly as ``sendrecv`` of ``nbytes``
+        followed by ``compute(work)`` would: the arrival times travel as
+        clock-only mailbox entries (no payload, unbooked, unrecorded),
+        so ``tag`` must carry no real message."""
+        work, nbytes = cost()
+        if peer != self.rank:
+            if self.rank > peer:
+                self.clock.sync_to(self._take(peer, tag))
+            self._post(peer, tag, self.clock.time
+                       + self.machine.message_time(nbytes))
+            if self.rank < peer:
+                self.clock.sync_to(self._take(peer, tag))
+        self.compute(work)
 
     def barrier(self) -> None:
         super().barrier()

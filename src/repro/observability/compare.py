@@ -196,8 +196,6 @@ def _journal_metrics(records: List[Dict[str, Any]]) -> Dict[str, float]:
     for name in ("cut", "balance", "time_s", "sim_time_s"):
         if rec.get(name) is not None:
             out[name] = float(rec[name])
-    for name, value in (rec.get("stats") or {}).items():
-        out[f"stats.{name}"] = float(value)
     metrics = rec.get("metrics") or {}
     for kind in ("counters", "gauges"):
         for name, value in (metrics.get(kind) or {}).items():

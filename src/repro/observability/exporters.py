@@ -133,7 +133,8 @@ def prometheus_exposition(doc: Dict[str, Any],
 
 def journal_record(result: Any, meta: Optional[Dict[str, Any]] = None,
                    ) -> Dict[str, Any]:
-    """One JSONL journal line for a finished :class:`KappaResult`."""
+    """One JSONL journal line for a finished :class:`KappaResult`; its
+    run numbers are the ``metrics`` book, written once."""
     rec: Dict[str, Any] = {
         "schema": "repro.journal/1",
         "ts": time.time(),
@@ -141,11 +142,10 @@ def journal_record(result: Any, meta: Optional[Dict[str, Any]] = None,
         "balance": float(result.balance),
         "time_s": float(result.time_s),
         "levels": int(result.levels),
-        "stats": {k: float(v) for k, v in result.stats.items()},
     }
     if result.sim_time_s is not None:
         rec["sim_time_s"] = float(result.sim_time_s)
-    if getattr(result, "metrics", None):
+    if result.metrics:
         rec["metrics"] = result.metrics
     if meta:
         rec["meta"] = dict(meta)

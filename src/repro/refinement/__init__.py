@@ -13,12 +13,7 @@ from .fm import (FMLists, FMResult, FMSearch, fm_bipartition_refine,
                  QUEUE_STRATEGIES)
 from .band import (Band, add_candidates, cut_candidates, extract_band,
                    extract_bands)
-from .pairwise import (
-    PairResult,
-    refine_pair,
-    pairwise_refinement,
-    pairwise_refinement_spmd,
-)
+from .pairwise import PairResult, refine_pair, pairwise_refinement
 from .kway_greedy import greedy_kway_refinement
 from .balance import rebalance
 
@@ -41,7 +36,6 @@ __all__ = [
     "PairResult",
     "refine_pair",
     "pairwise_refinement",
-    "pairwise_refinement_spmd",
     "greedy_kway_refinement",
     "rebalance",
 ]

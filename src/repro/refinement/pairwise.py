@@ -13,40 +13,36 @@ improvement was found (in strong variants: when no improvement was found
 twice in a row) or when a preset maximum number of iterations is
 exceeded."
 
-Two drivers share the pair search and adoption kernels:
+One driver, :func:`pairwise_refinement`, runs this loop for one process
+holding every block and, given a :class:`~repro.engine.base.Comm`, as
+one PE's share of an SPMD program (one block per PE, or several when
+k > P; runs on any execution engine).  Every PE holds ``g`` and
+``part``, so the partners of a pair extract the same band from their own
+copies: the paper's boundary exchange is charged to the cost clock
+(:meth:`~repro.engine.base.CommBase.model_sendrecv`), never sent.  Each
+owner of a pair runs only its own block's seeded search; the two trade
+their results and adopt the same better one, and the color's moves are
+then shared with every PE.  For the same schedule the partition does
+not depend on the PE count.
 
-* :func:`pairwise_refinement` — deterministic sequential execution,
-  one :func:`refine_pair` (both seeded searches, then adoption) per pair;
-* :func:`pairwise_refinement_spmd` — the same algorithm as an SPMD
-  program against the :class:`~repro.engine.base.Comm` protocol (one
-  block per PE, or several when k > P; runs on any execution engine),
-  with real band exchange between partners.  Each owner of a pair runs
-  only its own block's seeded search; the two trade their results and
-  adopt the same better one.
-
-With the distributed coloring selected on the sequential side, both
-drivers produce identical partitions for identical seeds, for any PE
-count.
-
-Both drivers run one color class in the same shape.  The pairs of a
+One color class runs in the same shape on both paths.  The pairs of a
 color are block-disjoint, so their refinements cannot interact: each
 local iteration extracts the bands of all live pairs with one
 :func:`~repro.refinement.band.extract_bands` call, refines every pair on
 its band, and drops the pairs that did not change.  Block sizes come
 from one ``bincount`` per color, and gains and moves are booked in
 pair-major order, so the sums and tracer counters equal those of
-refining each pair to completion in turn.  FM runs on the band's
-prepared lists (:attr:`~repro.refinement.band.Band.fm`), never on a
-band subgraph, and the band seeds come from a candidate mask each
-driver keeps per level (the cut nodes when the level starts, plus every
-moved node and its neighbours) instead of a scan of all arcs; the
-sequential driver also draws each global iteration's schedule from the
-cut arcs of those candidates (clipped to its ``within`` mask).  The
-SPMD driver sends each partner exactly the band (plus halo) it refines
-and trades the FM results as band-node sides.  Under the
-mapping objective a pair's gain bias reads its third-block neighbours,
-whose blocks other pairs of the color change, so the sequential driver
-then takes the pairs of a color one at a time.
+refining each pair to completion in turn (:func:`refine_pair`, the
+pair-by-pair reference).  FM runs on the band's prepared lists
+(:attr:`~repro.refinement.band.Band.fm`), never on a band subgraph, and
+the band seeds come from a candidate mask kept per level (the cut nodes
+when the level starts, plus every moved node and its neighbours)
+instead of a scan of all arcs; each global iteration's schedule is drawn
+from the cut arcs of those candidates (clipped to the ``within`` mask).
+Under the mapping objective a pair's gain bias reads its third-block
+neighbours, whose blocks other pairs of the color change, so one
+process holding every pair then takes the pairs of a color one at a
+time.
 """
 
 from __future__ import annotations
@@ -61,13 +57,11 @@ from ..graph.build import from_edge_list
 from ..graph.csr import Graph
 from ..core import metrics
 from ..instrument.tracer import NULL_TRACER
-from ..parallel.coloring import (coloring_to_matchings,
-                                 distributed_edge_coloring)
+from ..parallel.costmodel import payload_nbytes
 from .band import Band, add_candidates, cut_candidates, extract_bands
 from .fm import FMSearch
 
-__all__ = ["PairResult", "refine_pair", "pairwise_refinement",
-           "pairwise_refinement_spmd"]
+__all__ = ["PairResult", "refine_pair", "pairwise_refinement"]
 
 
 @dataclass
@@ -191,8 +185,8 @@ def refine_pair(
     """Refine the pair (a, b): extract the band, run the local searches,
     and adopt the best result.  ``part`` and ``block_w`` (and
     ``aux_block_w`` when given) are updated in place.  ``band`` passes
-    in the pair's band when the caller already extracted it (the drivers
-    extract a whole color class at once with :func:`extract_bands`);
+    in the pair's band when the caller already extracted it (the driver
+    extracts a whole color class at once with :func:`extract_bands`);
     it must be the band of the current ``part``.
 
     ``algorithm`` selects the pair-local search: ``"fm"`` (the paper's
@@ -374,8 +368,8 @@ def _adopt(
 
 
 def _pair_seed(seed: int, git: int, lit: int, a: int, b: int, who: int) -> int:
-    """Canonical per-search seed so the sequential and SPMD drivers make
-    identical random decisions."""
+    """Canonical per-search seed, so every PE count makes identical
+    random decisions."""
     return hash((seed, git, lit, a, b, who)) & 0x7FFFFFFF
 
 
@@ -415,19 +409,19 @@ def pairwise_refinement(
     epsilons: Optional[Sequence[float]] = None,
     topology=None,
     within: Optional[np.ndarray] = None,
+    comm: Optional[Comm] = None,
     tracer=NULL_TRACER,
 ) -> np.ndarray:
-    """Sequential driver: iterate over the rounds of a pair schedule of
-    Q, refining every pair.  Returns the refined partition vector.
+    """Iterate over the rounds of a pair schedule of Q, refining every
+    pair.  Returns the refined partition vector.
 
     ``matching_selection`` picks the Section 5.1 strategy:
     ``"edge_coloring"`` (the adopted default) or ``"random_local"``.
     For the coloring strategy, ``coloring="greedy"`` uses the fast
     sequential coloring while ``coloring="distributed"`` replays the
-    distributed algorithm for every quotient node, which makes this
-    driver bit-identical to :func:`pairwise_refinement_spmd` for the same
-    seed.  ``tracer`` accumulates refinement counters (pairs refined, FM
-    moves attempted/accepted, total gain, iteration counts).
+    distributed algorithm for every quotient node.  ``tracer``
+    accumulates refinement counters (pairs refined, FM moves
+    attempted/accepted, total gain, iteration counts).
 
     ``epsilons`` gives one balance tolerance per constraint dimension of
     a multi-constraint graph (default: ``epsilon`` for every dimension);
@@ -439,6 +433,13 @@ def pairwise_refinement(
     and no node outside it moves (the bands are clipped to it, see
     :func:`~repro.refinement.band.extract_bands`).  The incremental
     repartitioner passes its dirty band here.
+
+    With a ``comm`` this is one PE's share of an SPMD run: PE
+    ``comm.rank`` owns blocks ``rank, rank + P, …`` (``k >= P``), runs
+    only its own blocks' seeded searches, trades FM results with the
+    pair's partner, and shares the color's moves with every PE.  The
+    result is identical on every PE and, for the same schedule, to the
+    run without a ``comm``, for any PE count.
     """
     if coloring not in ("greedy", "distributed"):
         raise ValueError(f"unknown coloring mode {coloring!r}")
@@ -449,6 +450,9 @@ def pairwise_refinement(
             f"unknown matching selection {matching_selection!r}; "
             f"choose from {SCHEDULES}"
         )
+    p, rank = (1, 0) if comm is None else (comm.size, comm.rank)
+    if p > k:
+        raise ValueError("more PEs than blocks (k < P is future work)")
     part = np.asarray(part, dtype=np.int64).copy()
     lmax, aux_block_w, aux_lmax = _constraint_setup(
         g, part, k, epsilon, epsilons)
@@ -466,19 +470,29 @@ def pairwise_refinement(
         tracer.count("global_iterations")
         rounds = schedule_rounds(
             q, matching_selection, seed=seed + git, coloring=coloring,
-            tracer=tracer,
+            comm=comm, tracer=tracer,
         )
-        total_gain = 0.0
         total_moved = 0
+        total_gain = 0.0
         for matching in rounds:
             # the pairs of one color are block-disjoint, so they commute:
             # each local iteration extracts the live pairs' bands in one
             # call.  Under the mapping objective a pair's gain bias reads
             # the blocks of its third-block neighbours, which other pairs
-            # of the color move, so there each pair runs on its own.
-            groups = [matching] if dist is None else [[e] for e in matching]
+            # of the color move, so one process holding every pair takes
+            # them one at a time.
+            mine = [e for e in matching if rank in (e[0] % p, e[1] % p)]
+            groups = ([mine] if dist is None or comm is not None
+                      else [[e] for e in mine])
             sizes = np.bincount(part, minlength=k)
+            moved: List[Tuple[int, int]] = []
             for group in groups:
+                # the seeds this PE runs (0 for block a, 1 for b) and the
+                # PE owning the pair's other block
+                whos = [tuple(who for who, blk in enumerate(e)
+                              if blk % p == rank) for e in group]
+                partners = [e[1] % p if e[0] % p == rank else e[0] % p
+                            for e in group]
                 logs: List[List[PairResult]] = [[] for _ in group]
                 live = list(range(len(group)))
                 for lit in range(local_iterations):
@@ -487,21 +501,41 @@ def pairwise_refinement(
                     bands = extract_bands(g, part, [group[i] for i in live],
                                           bfs_depth, within=within,
                                           candidates=near_cut)
-                    still = []
-                    for i, band in zip(live, bands):
-                        a, b = group[i]
-                        pr = refine_pair(
-                            g, part, block_w, a, b, lmax, bfs_depth, alpha,
+                    if comm is not None:
+                        # every PE extracts the band from its own copy of
+                        # ``part``, so the paper's boundary exchange is
+                        # charged to the cost clock, never sent
+                        for i, band in zip(live, bands):
+                            comm.model_sendrecv(
+                                partners[i], 100 + lit,
+                                lambda: (band.graph.m, payload_nbytes((
+                                    band.graph.xadj, band.graph.adjncy,
+                                    band.graph.adjwgt, band.smap.to_parent))))
+                    searches = [
+                        _search_pair(
+                            g, part, block_w, *group[i], lmax, alpha,
                             queue_selection,
-                            _pair_seed(seed, git, lit, a, b, 0),
-                            _pair_seed(seed, git, lit, a, b, 1),
-                            (int(sizes[a]), int(sizes[b])),
-                            algorithm=pair_algorithm,
-                            dist=dist,
-                            aux_block_w=aux_block_w,
-                            aux_lmax=aux_lmax,
-                            band=band,
-                        )
+                            [_pair_seed(seed, git, lit, *group[i], who)
+                             for who in whos[i]],
+                            (int(sizes[group[i][0]]), int(sizes[group[i][1]])),
+                            pair_algorithm, band, dist=dist,
+                            aux_block_w=aux_block_w, aux_lmax=aux_lmax)
+                        for i, band in zip(live, bands)
+                    ]
+                    theirs: Dict[int, Candidate] = {}
+                    if any(partners[i] != rank for i in live):
+                        theirs = _swap_fm_candidates(
+                            comm, [partners[i] for i in live], bands,
+                            searches, tag=200 + lit)
+                    still = []
+                    for j, (i, band, search) in enumerate(
+                            zip(live, bands, searches)):
+                        fm = None
+                        if j in theirs:  # in seed order: a, then b
+                            fm = (search.fm + [theirs[j]] if whos[i] == (0,)
+                                  else [theirs[j]] + search.fm)
+                        pr = _adopt(g, part, block_w, *group[i], band,
+                                    search, aux_block_w, fm)
                         logs[i].append(pr)
                         if pr.changed:
                             add_candidates(g, near_cut,
@@ -509,19 +543,44 @@ def pairwise_refinement(
                             still.append(i)
                     live = still
                 # book in pair-major order, the accumulation order of
-                # refining each pair to completion, so sums stay exact
-                for log in logs:
+                # refining each pair to completion, so sums stay exact;
+                # the owner of a pair's first block books it
+                for (a, _), log in zip(group, logs):
+                    if a % p != rank:
+                        continue
                     for pr in log:
                         total_gain += pr.gain
-                        total_moved += len(pr.changed)
+                        moved.extend(pr.changed)
                         tracer.count("pairs_refined")
                         tracer.count("fm_moves_attempted", pr.moves_tried)
                         tracer.count("fm_moves_accepted", pr.moves_applied)
+            if comm is None:
+                total_moved += len(moved)
+                continue
+            # share the color's moves with all PEs as (node, block) rows;
+            # applied in list order, one move at a time, so the float
+            # block-weight sums stay bit-exact (a node may move twice
+            # across local iterations)
+            all_moves = comm.allgather(
+                np.array(moved, dtype=np.int64).reshape(-1, 2))
+            for moves in all_moves:
+                for v, nb in moves.tolist():
+                    if part[v] != nb:
+                        block_w[part[v]] -= g.vwgt[v]
+                        block_w[nb] += g.vwgt[v]
+                        if aux_block_w is not None:
+                            aux_block_w[part[v]] -= g.vwgts[v, 1:]
+                            aux_block_w[nb] += g.vwgts[v, 1:]
+                        part[v] = nb
+                add_candidates(g, near_cut, moves[:, 0])
+                total_moved += len(moves)
         tracer.count("refine_gain", total_gain)
         tracer.count("nodes_moved", total_moved)
         if stop_rule == "always":
             break
-        if total_gain <= 1e-12 and total_moved == 0:
+        # total_moved counts every PE's moves, and a pair that moves
+        # nothing reports zero gain, so no move also means no gain
+        if total_moved == 0:
             no_change_streak += 1
             needed = 2 if stop_rule == "twice_no_change" else 1
             if no_change_streak >= needed:
@@ -532,7 +591,7 @@ def pairwise_refinement(
 
 
 def _swap_fm_candidates(
-    comm: Comm, live: List[dict], bands: List[Band],
+    comm: Comm, partners: List[int], bands: List[Band],
     searches: List[Optional[_PairSearch]], tag: int,
 ) -> Dict[int, Candidate]:
     """Trade the FM candidates of the pairs shared with other PEs: one
@@ -540,12 +599,12 @@ def _swap_fm_candidates(
     an ``(n, 2)`` float64 array and their side vectors concatenated as
     one int8 array.  Both owners extract the same band, so the receiver
     splits the sides by band size.  Returns the partner's candidate per
-    index into ``live``."""
+    pair index."""
     by_partner: Dict[int, List[int]] = {}
-    for i, p_ in enumerate(live):
-        if p_["partner"] != comm.rank and searches[i] is not None \
+    for i, partner in enumerate(partners):
+        if partner != comm.rank and searches[i] is not None \
                 and searches[i].fm:
-            by_partner.setdefault(p_["partner"], []).append(i)
+            by_partner.setdefault(partner, []).append(i)
     theirs: Dict[int, Candidate] = {}
     for partner in sorted(by_partner):
         idx = by_partner[partner]
@@ -559,175 +618,3 @@ def _swap_fm_candidates(
                                 np.split(their_sides, ends[:-1])):
             theirs[i] = (tuple(key), side)
     return theirs
-
-
-def pairwise_refinement_spmd(
-    comm: Comm,
-    g: Graph,
-    part_in: np.ndarray,
-    epsilon: float = 0.03,
-    bfs_depth: int = 5,
-    alpha: float = 0.05,
-    queue_selection: str = "top_gain",
-    local_iterations: int = 3,
-    max_global_iterations: int = 15,
-    stop_rule: str = "no_change",
-    seed: int = 0,
-    k: Optional[int] = None,
-    pair_algorithm: str = "fm",
-    epsilons: Optional[Sequence[float]] = None,
-    topology=None,
-) -> np.ndarray:
-    """SPMD driver: PE ``comm.rank`` is responsible for blocks
-    ``rank, rank + P, …`` (one block per PE when ``comm.size == k``, the
-    paper's setting; several per PE for the k > P generalisation of
-    Section 8).
-
-    Every PE holds the partition and hence Q, so each replays the
-    distributed coloring of Q itself (no exchange; the sim engine's
-    clock is still charged its rounds).  Per color class, the owners of
-    a matched block pair exchange their boundary bands (charged to the
-    simulated clock); the owner of block ``a`` runs FM with the pair's
-    first seed and the owner of ``b`` with the second, the two trade
-    their results, and both adopt the better one — the paper's protocol.
-    A PE that owns both blocks runs both seeds.  After each color, the
-    node moves are shared so every PE holds a consistent partition.
-    Within a color the per-pair searches only read the partition and
-    never communicate, so they run in pair order between the band
-    exchanges and the result trade.  Returns the refined partition
-    (identical on every PE, and identical to :func:`pairwise_refinement`
-    with ``coloring="distributed"`` for the same seed, for *any* PE
-    count).
-    """
-    k = comm.size if k is None else int(k)
-    if comm.size > k:
-        raise ValueError("more PEs than blocks (k < P is future work)")
-    p = comm.size
-    part = np.asarray(part_in, dtype=np.int64).copy()
-    lmax, aux_block_w, aux_lmax = _constraint_setup(
-        g, part, k, epsilon, epsilons)
-    block_w = metrics.block_weights(g, part, k)
-    dist = None if topology is None else topology.distance_matrix()
-    # superset of the cut nodes: seeds the band extraction
-    near_cut = cut_candidates(g, part)
-
-    def owner(block: int) -> int:
-        return block % p
-
-    no_change_streak = 0
-    for git in range(max_global_iterations):
-        q = _schedule_quotient(g, part, k, near_cut)
-        if q.m == 0:
-            break
-        colors = distributed_edge_coloring(q, seed=seed + git, comm=comm)
-        total_moved = 0
-        for matching in coloring_to_matchings(colors):
-            # pairs of this color with an endpoint block owned here,
-            # processed in ascending order on every involved PE (buffered
-            # sends make the interleaved exchanges deadlock-free).  The
-            # pairs of one color form a matching on the quotient graph,
-            # so their refinements touch disjoint blocks and commute
-            # bit-exactly — which lets each local iteration extract all
-            # live bands in one call, run the band exchanges pair by
-            # pair, then all the searches, and trade the results per
-            # partner.
-            updates: List[Tuple[int, int]] = []
-            sizes = np.bincount(part, minlength=k)
-            pairs = []
-            for a, b in matching:
-                if comm.rank not in (owner(a), owner(b)):
-                    continue
-                pairs.append({
-                    "edge": (a, b),
-                    "partner": (owner(b) if owner(a) == comm.rank
-                                else owner(a)),
-                    # the seeds this PE runs: 0 for block a, 1 for b
-                    "whos": tuple(who for who, blk in enumerate((a, b))
-                                  if owner(blk) == comm.rank),
-                    "sizes": (int(sizes[a]), int(sizes[b])),
-                    "log": [],       # PairResult per executed local iter
-                    "live": True,
-                })
-            for lit in range(local_iterations):
-                live = [p_ for p_ in pairs if p_["live"]]
-                if not live:
-                    break
-                bands = extract_bands(g, part, [p_["edge"] for p_ in live],
-                                      bfs_depth, candidates=near_cut)
-                for p_, band in zip(live, bands):
-                    # exchange boundary bands (the communication the cost
-                    # model must see — Figure 2's boundary exchange)
-                    payload = (
-                        band.graph.xadj, band.graph.adjncy,
-                        band.graph.adjwgt, band.smap.to_parent,
-                    )
-                    if p_["partner"] != comm.rank:
-                        comm.sendrecv(payload, p_["partner"], tag=100 + lit)
-                    comm.compute(band.graph.m)
-
-                searches = [
-                    _search_pair(
-                        g, part, block_w, *p_["edge"], lmax, alpha,
-                        queue_selection,
-                        [_pair_seed(seed, git, lit, *p_["edge"], who)
-                         for who in p_["whos"]],
-                        p_["sizes"], pair_algorithm, band,
-                        dist=dist,
-                        aux_block_w=aux_block_w,
-                        aux_lmax=aux_lmax,
-                    )
-                    for p_, band in zip(live, bands)
-                ]
-                theirs = _swap_fm_candidates(comm, live, bands, searches,
-                                             tag=200 + lit)
-                for i, (p_, band, search) in enumerate(
-                        zip(live, bands, searches)):
-                    fm = None
-                    if i in theirs:  # candidates in seed order: a, then b
-                        fm = (search.fm + [theirs[i]] if p_["whos"] == (0,)
-                              else [theirs[i]] + search.fm)
-                    pr = _adopt(g, part, block_w, *p_["edge"], band, search,
-                                aux_block_w, fm)
-                    p_["log"].append(pr)
-                    if pr.changed:
-                        add_candidates(g, near_cut,
-                                       [v for v, _ in pr.changed])
-                    else:
-                        p_["live"] = False
-            # book moves in pair-major order — the exact accumulation
-            # order of the unbatched loop, so the allgather payload below
-            # stays bit-identical
-            for p_ in pairs:
-                if comm.rank == owner(p_["edge"][0]):  # each pair once
-                    for pr in p_["log"]:
-                        updates.extend(pr.changed)
-            # share moves of this color class with all PEs as (node,
-            # block) rows; applied in list order, one move at a time, so
-            # the float block-weight sums stay bit-exact (a node may move
-            # twice across local iterations)
-            all_updates = comm.allgather(
-                np.array(updates, dtype=np.int64).reshape(-1, 2))
-            for moves in all_updates:
-                for v, nb in moves.tolist():
-                    if part[v] != nb:
-                        block_w[part[v]] -= g.vwgt[v]
-                        block_w[nb] += g.vwgt[v]
-                        if aux_block_w is not None:
-                            aux_block_w[part[v]] -= g.vwgts[v, 1:]
-                            aux_block_w[nb] += g.vwgts[v, 1:]
-                        part[v] = nb
-                add_candidates(g, near_cut, moves[:, 0])
-            total_moved += sum(len(moves) for moves in all_updates)
-        if stop_rule == "always":
-            break
-        # total_moved counts every PE's moves, so it is global; a pair
-        # that moves nothing reports zero gain, so no move also means no
-        # improvement (the sequential driver's two-part test)
-        if total_moved == 0:
-            no_change_streak += 1
-            needed = 2 if stop_rule == "twice_no_change" else 1
-            if no_change_streak >= needed:
-                break
-        else:
-            no_change_streak = 0
-    return part

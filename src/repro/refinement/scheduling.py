@@ -14,10 +14,11 @@ without the global structure (or quality) of a proper coloring.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.base import Comm
 from ..graph.csr import Graph
 from ..instrument.tracer import NULL_TRACER
 from ..parallel.coloring import coloring_to_matchings, greedy_edge_coloring
@@ -30,18 +31,20 @@ Edge = Tuple[int, int]
 SCHEDULES = ("edge_coloring", "random_local")
 
 
-def coloring_rounds(q: Graph, seed: int = 0,
-                    coloring: str = "greedy") -> List[List[Edge]]:
+def coloring_rounds(q: Graph, seed: int = 0, coloring: str = "greedy",
+                    comm: Optional[Comm] = None) -> List[List[Edge]]:
     """The default schedule: the color classes of an edge coloring.
 
     ``coloring="greedy"`` uses the fast sequential coloring;
     ``coloring="distributed"`` replays the distributed algorithm for
-    every quotient node (bit-identical to the SPMD refinement driver).
+    every quotient node, charging its rounds to ``comm``'s cost clock
+    when one is given (the same coloring on any PE count).
     """
     if coloring == "distributed":
         from ..parallel.coloring import distributed_edge_coloring
 
-        return coloring_to_matchings(distributed_edge_coloring(q, seed=seed))
+        return coloring_to_matchings(
+            distributed_edge_coloring(q, seed=seed, comm=comm))
     if coloring != "greedy":
         raise ValueError(f"unknown coloring mode {coloring!r}")
     return coloring_to_matchings(greedy_edge_coloring(q, seed=seed))
@@ -77,15 +80,18 @@ def random_local_rounds(q: Graph, seed: int = 0) -> List[List[Edge]]:
 
 
 def schedule_rounds(q: Graph, strategy: str, seed: int = 0,
-                    coloring: str = "greedy",
+                    coloring: str = "greedy", comm: Optional[Comm] = None,
                     tracer=NULL_TRACER) -> List[List[Edge]]:
     """Dispatch on the matching-selection strategy name.
 
-    ``tracer`` accumulates the schedule shape (rounds and pairs per
-    global iteration) for the pipeline trace.
+    Both schedules are pure functions of ``(q, seed)``, so every PE of
+    an SPMD program computes the same one alone; ``comm`` only reaches
+    the distributed coloring's cost charge.  ``tracer`` accumulates the
+    schedule shape (rounds and pairs per global iteration) for the
+    pipeline trace.
     """
     if strategy == "edge_coloring":
-        rounds = coloring_rounds(q, seed, coloring=coloring)
+        rounds = coloring_rounds(q, seed, coloring=coloring, comm=comm)
     elif strategy == "random_local":
         rounds = random_local_rounds(q, seed)
     else:

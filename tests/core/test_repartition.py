@@ -118,18 +118,21 @@ class TestRunConfigForwarded:
     @staticmethod
     def _refine_kwargs(monkeypatch, g, g2, config, k=4):
         """Repartition ``g2`` from a partition of ``g``; returns the
-        keyword arguments ``pairwise_refinement`` saw and the result."""
-        import repro.core.incremental as inc
+        keyword arguments the repartition's ``pairwise_refinement`` call
+        (made by ``core.spmd.refine``, the one call site) saw and the
+        result."""
+        import repro.core.spmd as spmd
 
         seen = {}
-        real = inc.pairwise_refinement
+        real = spmd.pairwise_refinement
 
         def spy(*args, **kwargs):
-            seen.update(kwargs)
+            if kwargs.get("within") is not None:
+                seen.update(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(inc, "pairwise_refinement", spy)
         old = partition_graph(g, k, config=MINIMAL, seed=0).partition.part
+        monkeypatch.setattr(spmd, "pairwise_refinement", spy)
         return seen, repartition(g2, old, k, config=config, seed=1)
 
     def test_mapping_topology(self, monkeypatch):

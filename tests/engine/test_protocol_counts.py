@@ -6,7 +6,9 @@ PE.  This test spies on every collective of a full KaPPa SPMD run and
 fails if one is issued from inside the coloring or the gap phase, or if
 the collective count per run creeps back towards the exchanged
 protocol's (:data:`EXCHANGED_COLLECTIVES`, the counts of the same runs
-when both were message rounds).
+when both were message rounds).  Likewise the partners of a refined
+pair extract its band from their own copies, so refinement sends no
+band (tags 100–199); only the FM results (tags 200+) travel.
 """
 
 import sys
@@ -69,3 +71,23 @@ def test_replayed_phases_issue_no_collective(graph, k):
     assert not in_replay, f"replayed phases communicate: {in_replay}"
     total = sum(log.values())
     assert 0 < total <= EXCHANGED_COLLECTIVES[k] / 5, (total, dict(log))
+
+
+def tagged_program(comm, tags, *args):
+    """Run the KaPPa SPMD program counting the tag of every send."""
+    inner = comm.send
+
+    def spy(obj, dest, tag=0):
+        tags[tag] += 1
+        return inner(obj, dest, tag)
+
+    comm.send = spy
+    return kappa_spmd_program(comm, *args)
+
+
+@pytest.mark.parametrize("k", sorted(EXCHANGED_COLLECTIVES))
+def test_refinement_sends_no_band(graph, k):
+    tags = Counter()
+    get_engine("sequential", k).run(tagged_program, tags, graph, k, 1, FAST)
+    assert any(tag >= 200 for tag in tags), dict(tags)  # FM results
+    assert not [tag for tag in tags if 100 <= tag < 200], dict(tags)

@@ -180,7 +180,7 @@ class TestCompareCommand:
         def line(cut):
             return json.dumps({"schema": "repro.journal/1", "ts": 0.0,
                                "cut": cut, "balance": 1.0, "time_s": 1.0,
-                               "levels": 1, "stats": {},
+                               "levels": 1,
                                "meta": {"git_sha": "abc",
                                         "timestamp": "t"}})
 
@@ -211,8 +211,7 @@ class TestCompareCommand:
         bare = tmp_path / "bare.jsonl"
         bare.write_text(json.dumps({"schema": "repro.journal/1", "ts": 0.0,
                                     "cut": 100.0, "balance": 1.0,
-                                    "time_s": 1.0, "levels": 1,
-                                    "stats": {}}) + "\n")
+                                    "time_s": 1.0, "levels": 1}) + "\n")
         assert main(["compare", base, same,
                      "--require-provenance", "new"]) == 0
         assert main(["compare", base, str(bare),

@@ -95,7 +95,7 @@ class TestStrippedTraceDegradation:
 def _journal_line(cut, **meta):
     return {"schema": "repro.journal/1", "ts": 0.0, "cut": cut,
             "balance": 1.01, "time_s": 1.0, "levels": 3,
-            "stats": {"time_refine_s": 0.5}, "meta": meta}
+            "metrics": {"counters": {"time_refine_s": 0.5}}, "meta": meta}
 
 
 class TestCompare:
@@ -169,6 +169,14 @@ class TestCompare:
                        + json.dumps(_journal_line(100.0)) + "\n")
         cmp = compare_files(str(base), str(new))
         assert cmp.ok  # last line wins: cut 100 vs 100
+
+    def test_journal_run_numbers_read_once(self):
+        line = _journal_line(100.0)
+        line["stats"] = {"time_refine_s": 0.5}  # a line from older runs
+        cmp = compare_documents("journal", [line], [_journal_line(100.0)])
+        names = {d.metric for d in cmp.deltas}
+        assert "metrics.time_refine_s" in names
+        assert not [n for n in names | set(cmp.only_base) if "stats." in n]
 
     def test_kind_mismatch_raises(self, tmp_path, observed_doc):
         t = tmp_path / "t.json"

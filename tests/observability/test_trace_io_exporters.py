@@ -161,7 +161,8 @@ class TestJournal:
         assert rec["schema"] == "repro.journal/1"
         assert rec["cut"] == res.cut
         assert rec["meta"]["git_sha"] == "abc"
-        assert "metrics" in rec  # registry export rides along
+        assert rec["metrics"] == res.metrics  # the run's one book
+        assert "stats" not in rec            # ... written once
         path = tmp_path / "runs.jsonl"
         append_journal(str(path), rec)
         append_journal(str(path), rec)

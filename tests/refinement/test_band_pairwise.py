@@ -9,12 +9,7 @@ from repro.graph import from_edge_list, grid2d_graph
 from repro.engine import get_engine
 from repro.core.objectives import Topology
 from repro.graph.quotient import quotient_graph
-from repro.refinement import (
-    extract_band,
-    pairwise_refinement,
-    pairwise_refinement_spmd,
-    refine_pair,
-)
+from repro.refinement import extract_band, pairwise_refinement, refine_pair
 from repro.refinement.band import cut_candidates
 from repro.refinement.pairwise import _pair_seed, _schedule_quotient
 from repro.refinement.scheduling import coloring_rounds
@@ -234,9 +229,9 @@ class TestSPMDEquivalence:
             max_global_iterations=3,
         )
         res = get_engine("sim", k).run(
-            pairwise_refinement_spmd, g, part0, seed=11,
-            max_global_iterations=3,
-        )
+            lambda comm: pairwise_refinement(
+                g, part0, k, seed=11, coloring="distributed",
+                max_global_iterations=3, comm=comm))
         for r in range(k):
             assert np.array_equal(res.results[r], seq)
 
@@ -244,16 +239,17 @@ class TestSPMDEquivalence:
         g = random_geometric_graph(300, seed=6)
         part0 = np.random.default_rng(4).integers(0, 2, g.n)
         res = get_engine("sim", 2).run(
-            pairwise_refinement_spmd, g, part0, seed=1,
-            max_global_iterations=2,
-        )
+            lambda comm: pairwise_refinement(
+                g, part0, 2, seed=1, coloring="distributed",
+                max_global_iterations=2, comm=comm))
         assert res.makespan > 0
-        assert res.bytes_sent > 0  # band exchange really communicated
+        assert res.bytes_sent > 0  # FM results and moves really sent
 
 
 class TestHotPathSubgraphs:
     """Pair FM reads the band's lists; only readers of ``Band.graph``
-    (the SPMD band payload, the flow refiner) build a band subgraph."""
+    (the sim engine's band-exchange charge, the flow refiner) build a
+    band subgraph."""
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -278,8 +274,12 @@ class TestHotPathSubgraphs:
         assert res.partition.cut > 0
         assert built == []
 
-    def test_spmd_builds_one_payload_subgraph_per_live_pair(
-            self, monkeypatch):
+    @pytest.mark.parametrize("engine", ["sequential", "sim"])
+    def test_spmd_builds_band_subgraph_only_to_charge_it(
+            self, monkeypatch, engine):
+        """The partners' band exchange is modelled, not sent: only the
+        sim engine's cost charge reads ``Band.graph``, once per live
+        pair and local iteration on each PE holding the pair."""
         import repro.refinement.pairwise as pairwise_mod
 
         built = self._count_builds(monkeypatch)
@@ -294,6 +294,8 @@ class TestHotPathSubgraphs:
         monkeypatch.setattr(pairwise_mod, "extract_bands", counted)
         g = random_geometric_graph(400, seed=6)
         part0 = np.random.default_rng(4).integers(0, 4, g.n)
-        get_engine("sequential", 2).run(
-            pairwise_refinement_spmd, g, part0, seed=2, k=4)
-        assert sum(extracted) > 0 and len(built) == sum(extracted)
+        get_engine(engine, 2).run(
+            lambda comm: pairwise_refinement(
+                g, part0, 4, seed=2, coloring="distributed", comm=comm))
+        assert sum(extracted) > 0
+        assert len(built) == (sum(extracted) if engine == "sim" else 0)

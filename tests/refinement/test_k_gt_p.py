@@ -10,7 +10,7 @@ from repro.generators import delaunay_graph, random_geometric_graph
 from repro.graph import complete_graph, cycle_graph
 from repro.engine import get_engine
 from repro.parallel import distributed_edge_coloring_spmd, verify_edge_coloring
-from repro.refinement import pairwise_refinement, pairwise_refinement_spmd
+from repro.refinement import pairwise_refinement
 
 
 def merge_colorings(results):
@@ -60,8 +60,10 @@ class TestMultiplexedRefinement:
         seq = pairwise_refinement(g, part0, k, seed=5,
                                   coloring="distributed",
                                   max_global_iterations=2)
-        res = get_engine("sim", p).run(pairwise_refinement_spmd, g, part0,
-                                       seed=5, max_global_iterations=2, k=k)
+        res = get_engine("sim", p).run(
+            lambda comm: pairwise_refinement(
+                g, part0, k, seed=5, coloring="distributed",
+                max_global_iterations=2, comm=comm))
         for r in range(p):
             assert np.array_equal(res.results[r], seq)
 
@@ -69,7 +71,9 @@ class TestMultiplexedRefinement:
         g = delaunay100
         part0 = np.zeros(g.n, dtype=np.int64)
         with pytest.raises(ValueError):
-            get_engine("sim", 4).run(pairwise_refinement_spmd, g, part0, k=2)
+            get_engine("sim", 4).run(
+                lambda comm: pairwise_refinement(
+                    g, part0, 2, coloring="distributed", comm=comm))
 
 
 class TestClusterPipelineWithFewerPEs:

@@ -92,6 +92,23 @@ class TestCrashRecoveryBitIdentical:
         assert np.array_equal(res.partition.part, golden)
         assert res.stats["checkpoint_restores"] >= 1.0
 
+    def test_restored_final_reports_phase_gauges(self, tmp_path):
+        """A re-run that restores the ``final`` checkpoint runs no phase,
+        yet still reports every phase gauge (0.0), so readers of
+        ``phase_*_max_s`` see the same keys on every cluster run."""
+        g = random_geometric_graph(400, seed=1)
+        cfg = MINIMAL.derive(checkpoint_dir=str(tmp_path / "ckpts"))
+        first, again = (
+            KappaPartitioner(cfg).partition(g, 4, seed=7,
+                                            execution="cluster",
+                                            engine="sequential")
+            for _ in range(2))
+        assert np.array_equal(first.partition.part, again.partition.part)
+        assert again.stats["checkpoint_restores"] >= 1.0
+        for phase in ("coarsening", "initial_partitioning", "refinement"):
+            assert first.stats[f"phase_{phase}_max_s"] > 0.0
+            assert again.stats[f"phase_{phase}_max_s"] == 0.0
+
     def test_crash_at_earlier_boundary(self, goldens, tmp_path):
         """Recovery is not special to refinement: a crash at the initial-
         partitioning boundary recovers the same way."""
