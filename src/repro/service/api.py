@@ -24,10 +24,10 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from ..core import metrics
 from ..core.config import KappaConfig, preset
 from ..core.partitioner import KappaResult, KappaPartitioner
 from ..graph.csr import Graph
+from ..refinement.balance import is_feasible
 from ..resilience.checkpoint import config_hash
 
 __all__ = [
@@ -227,8 +227,8 @@ def execute_request(g: Graph, request: PartitionRequest,
         g, request.k, seed=request.seed, execution=request.execution,
         tracer=tracer,
     )
-    feasible = metrics.is_balanced(g, res.partition.part, request.k,
-                                   cfg.epsilon)
+    feasible = is_feasible(g, res.partition.part, request.k, cfg.epsilon,
+                           cfg.epsilons)
     return PartitionResult(
         part=res.partition.part,
         k=request.k, n=g.n, m=g.m,

@@ -4,8 +4,11 @@ A job is one unit of service work — a scratch partition
 (:class:`~repro.service.api.PartitionRequest` against an uploaded or
 generated graph) or an incremental PATCH against a held
 :class:`~repro.graph.dynamic.DynamicGraph` session.  Jobs run on a
-bounded :class:`~concurrent.futures.ThreadPoolExecutor`; admission is
-decided synchronously at submit time:
+bounded :class:`~concurrent.futures.ThreadPoolExecutor`.  A scratch
+partition leaves its worker thread for a forked one-PE
+:class:`~repro.engine.process.ProcessEngine` run, so the workers'
+partitions do not share one GIL; session jobs mutate held state and stay
+in the thread.  Admission is decided synchronously at submit time:
 
 * result-cache hit → the job completes immediately, **no worker runs**
   (the "cache hits skip partitioning entirely" guarantee — verified by
@@ -29,17 +32,21 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..graph.csr import Graph
 from ..graph.dynamic import DynamicGraph, MutationBatch, MutationError
+from ..core import metrics
+from ..core.config import KappaConfig
 from ..core.incremental import IncrementalSession
+from ..engine.process import ProcessEngine
 from ..instrument import Tracer
 from ..observability import MetricsRegistry, append_journal
+from ..refinement.balance import is_feasible
 from .api import PartitionRequest, PartitionResult, RequestError, \
     execute_request
 from .cache import ResultCache
@@ -355,18 +362,26 @@ class JobManager:
     def _do_partition(self, job: Job, graph: Graph,
                       request: PartitionRequest, key: str,
                       ) -> PartitionResult:
-        tracer = Tracer() if self.artifacts_dir is not None else None
-        # observe=True only when we will actually keep the trace: it adds
-        # causal events + comm matrix to the artifact without changing the
-        # partition or the cache key
-        result = execute_request(graph, request, tracer=tracer,
-                                 observe=tracer is not None)
-        # cache and keep data only: the live KappaResult holds the
-        # request's Graph (via its Partition), which the cache budget
-        # does not charge; only the trace artifact reads it
-        data = replace(result, kappa=None)
+        # the graph goes as a keyword, which the engine does not copy
+        # into shared memory as it does a positional Graph
+        job_args = dict(graph=graph, request=request,
+                        traced=self.artifacts_dir is not None)
+        if request.execution == "cluster" \
+                and request.config().engine == "process":
+            # its PEs are processes already, and the engine's daemonic
+            # workers cannot fork PEs of their own
+            out = _scratch_partition(None, **job_args)
+        else:
+            # a fork inherits the loaded library, the graph and its
+            # memoized signature (the child never rehashes it), and runs
+            # only library code, which takes none of the server's locks
+            out = ProcessEngine(1).run(_scratch_partition,
+                                       **job_args).results[0]
+        trace = out.pop("trace")
+        data = PartitionResult(k=request.k, n=graph.n, m=graph.m,
+                               cache_key=key, **out)
         self.cache.put(key, data)
-        self._trace_artifact(job, result)
+        self._trace_artifact(job, trace)
         return data
 
     def create_session(self, graph: Graph, request: PartitionRequest,
@@ -403,11 +418,11 @@ class JobManager:
             wall = time.perf_counter() - t0
             g = session.dyn.graph()
             part = session.inc.part
+            balance, feasible = _balance_verdict(g, part, request.k, cfg)
             return PartitionResult(
                 part=part.copy(), k=request.k, n=g.n, m=g.m,
                 cut=float(session.inc.reference_cut),
-                balance=float(_balance(g, part, request.k)),
-                feasible=True, time_s=wall,
+                balance=balance, feasible=feasible, time_s=wall,
                 cache_key=request.cache_key(g, cfg),
             )
         except Exception as exc:
@@ -453,11 +468,13 @@ class JobManager:
             session.patches_applied += 1
             self.registry.counter("patches_applied").inc()
             request = session.request
+            balance, feasible = _balance_verdict(
+                g2, res.partition.part, request.k, request.config())
             return PartitionResult(
                 part=res.partition.part.copy(), k=request.k,
                 n=g2.n, m=g2.m, cut=float(res.cut),
-                balance=float(_balance(g2, res.partition.part, request.k)),
-                feasible=True, time_s=float(res.time_s),
+                balance=balance, feasible=feasible,
+                time_s=float(res.time_s),
                 stats={
                     "migrated_nodes": float(res.migrated_nodes),
                     "migrated_weight": float(res.migrated_weight),
@@ -512,11 +529,11 @@ class JobManager:
     # ------------------------------------------------------------------
     # artifacts
     # ------------------------------------------------------------------
-    def _trace_artifact(self, job: Job, result: PartitionResult) -> None:
-        if self.artifacts_dir is None or result.kappa is None \
-                or result.kappa.trace is None:
+    def _trace_artifact(self, job: Job,
+                        trace: Optional[Dict[str, Any]]) -> None:
+        if self.artifacts_dir is None or trace is None:
             return
-        trace = dict(result.kappa.trace)
+        trace = dict(trace)
         meta = dict(trace.get("meta") or {})
         meta["job"] = job.id
         if job.request_id is not None:
@@ -572,7 +589,28 @@ class JobManager:
             pass
 
 
-def _balance(g: Graph, part: np.ndarray, k: int) -> float:
-    from ..core import metrics
+def _scratch_partition(comm, *, graph: Graph, request: PartitionRequest,
+                       traced: bool) -> Dict[str, Any]:
+    """A scratch job's library run, as wire-codec data: the
+    :class:`PartitionResult` fields the parent cannot fill in itself,
+    plus the trace document when the job is ``traced``.  ``comm`` is the
+    one-PE engine's communicator (unused; ``None`` in-thread)."""
+    tracer = Tracer() if traced else None
+    # observe=True only when the trace is kept: it adds causal events and
+    # the comm matrix to the artifact without changing the partition or
+    # the cache key
+    result = execute_request(graph, request, tracer=tracer, observe=traced)
+    return {
+        "part": result.part, "cut": result.cut, "balance": result.balance,
+        "feasible": result.feasible, "time_s": result.time_s,
+        "mapping_cost": result.mapping_cost, "stats": result.stats,
+        "trace": result.kappa.trace if traced else None,
+    }
 
-    return metrics.balance(g, part, k)
+
+def _balance_verdict(g: Graph, part: np.ndarray, k: int,
+                     cfg: KappaConfig) -> Tuple[float, bool]:
+    """``(balance, feasible)`` of a session result, by the same
+    every-dimension test as :func:`~repro.service.api.execute_request`."""
+    return (float(metrics.balance(g, part, k)),
+            bool(is_feasible(g, part, k, cfg.epsilon, cfg.epsilons)))

@@ -83,6 +83,11 @@ class PartitionServer(ThreadingHTTPServer):
         self.started_at = time.time()
         self._serve_thread: Optional[threading.Thread] = None
         self.registry.counter("http_requests_total")
+        # handler-side work outside the job pool, in the handler thread
+        self.registry.histogram("graph_resolve_seconds",
+                                buckets=_HTTP_BUCKETS)
+        self.registry.histogram("response_encode_seconds",
+                                buckets=_HTTP_BUCKETS)
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -139,8 +144,15 @@ class _Handler(BaseHTTPRequestHandler):
         return rid
 
     def _send_json(self, status: int, doc: Dict[str, Any],
-                   retry_after: Optional[float] = None) -> None:
+                   retry_after: Optional[float] = None,
+                   encode_t0: Optional[float] = None) -> None:
+        """Send ``doc``; its serialisation time, from ``encode_t0`` when
+        the caller started building ``doc`` itself, lands in the
+        ``response_encode_seconds`` histogram."""
+        t0 = time.perf_counter() if encode_t0 is None else encode_t0
         body = json.dumps(doc).encode("utf-8")
+        self.server.registry.histogram("response_encode_seconds").observe(
+            time.perf_counter() - t0)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -250,10 +262,11 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._error(
                     409, f"job {job.id} is {job.state}; result not ready",
                     retry_after=1.0)
+            t_enc = time.perf_counter()
             doc = job.result.to_json()
             doc["job"] = job.id
             doc["cache_hit"] = job.cache_hit
-            self._send_json(200, doc)
+            self._send_json(200, doc, encode_t0=t_enc)
             return self._observe("job_result", t0)
         match = _SESSION_RE.match(path)
         if match:
@@ -308,7 +321,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = PartitionRequest.from_json(body)
+            t_graph = time.perf_counter()
             graph, detail = resolve_graph(body.get("graph"))
+            self.server.registry.histogram("graph_resolve_seconds").observe(
+                time.perf_counter() - t_graph)
             if request.k > graph.n:
                 raise RequestError(
                     f"k={request.k} exceeds the graph's {graph.n} nodes")

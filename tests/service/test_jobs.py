@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.generators import random_geometric_graph
+from repro.graph import Graph
 from repro.observability import MetricsRegistry
-from repro.service.api import PartitionRequest, RequestError
+from repro.service import jobs as jobs_module
+from repro.service.api import PartitionRequest, RequestError, \
+    execute_request
 from repro.service.jobs import (
     Draining,
     JobManager,
@@ -194,3 +199,92 @@ def test_observe_does_not_fork_cache_key(tmp_path, rgg128):
     finally:
         observed.drain(timeout=30.0)
         plain.drain(timeout=30.0)
+
+
+# ---------------------------------------------------------------------------
+# scratch jobs run in a forked one-PE process
+# ---------------------------------------------------------------------------
+
+def test_scratch_job_runs_outside_the_calling_process(monkeypatch, manager,
+                                                      rgg128):
+    real = jobs_module.execute_request
+
+    def tagged(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.stats["pid"] = float(os.getpid())
+        return result
+
+    # the fork inherits the patched module global
+    monkeypatch.setattr(jobs_module, "execute_request", tagged)
+    job = manager.submit_partition(rgg128, PartitionRequest(k=4, seed=11))
+    assert job.wait(timeout=30.0) and job.state == "done"
+    assert job.result.stats["pid"] != os.getpid()
+
+
+def test_dead_child_fails_the_job_and_the_worker_goes_on(monkeypatch,
+                                                         rgg128):
+    test_pid = os.getpid()
+    real = jobs_module.execute_request
+
+    def die(*args, **kwargs):
+        if os.getpid() == test_pid:  # never take the test run down
+            raise AssertionError("scratch job ran in the calling process")
+        os._exit(3)
+
+    mgr = JobManager(workers=1, queue_limit=8)
+    try:
+        monkeypatch.setattr(jobs_module, "execute_request", die)
+        job = mgr.submit_partition(rgg128, PartitionRequest(k=4, seed=12))
+        assert job.wait(timeout=30.0)
+        assert job.state == "failed"
+        assert "exitcode=3" in (job.error or "")
+        monkeypatch.setattr(jobs_module, "execute_request", real)
+        again = mgr.submit_partition(rgg128, PartitionRequest(k=4, seed=13))
+        assert again.wait(timeout=30.0) and again.state == "done"
+    finally:
+        mgr.drain(timeout=30.0)
+
+
+def test_process_engine_cluster_job_stays_in_the_worker(manager, rgg128):
+    """A cluster run on the process engine forks its own PEs, so the job
+    runs it from the worker thread (a server-side option only)."""
+    req = PartitionRequest(k=2, seed=14, execution="cluster",
+                           options={"engine": "process"})
+    job = manager.submit_partition(rgg128, req)
+    assert job.wait(timeout=60.0) and job.state == "done"
+    assert (job.result.part == execute_request(rgg128, req).part).all()
+
+
+# ---------------------------------------------------------------------------
+# the feasible flag tests every constraint dimension on every path
+# ---------------------------------------------------------------------------
+
+def _verdicts(mgr, g, req):
+    """``feasible`` of a scratch job, a session start and one PATCH."""
+    scratch = mgr.submit_partition(g, req)
+    start = mgr.create_session(g, req)
+    assert scratch.wait(timeout=60.0) and scratch.state == "done"
+    assert start.wait(timeout=60.0) and start.state == "done"
+    patch = mgr.submit_patch(start.session_id,
+                             {"insert_edges": [[0, g.n - 1, 1.0]]})
+    assert patch.wait(timeout=60.0) and patch.state == "done"
+    return [job.result.feasible for job in (scratch, start, patch)]
+
+
+def test_feasible_flag_covers_pinned_overload(manager):
+    g = random_geometric_graph(400, seed=1)
+    fixed = np.full(g.n, -1, dtype=np.int64)
+    fixed[:150] = 0  # 150 of 400 nodes in one of 4 blocks: balance 1.5
+    pinned = Graph(g.xadj, g.adjncy, g.adjwgt, g.vwgt, fixed=fixed)
+    assert _verdicts(manager, pinned, PartitionRequest(k=4)) == \
+        [False, False, False]
+
+
+def test_feasible_flag_covers_every_constraint_dimension(manager):
+    g = random_geometric_graph(400, seed=1)
+    vwgts = np.ones((g.n, 2))
+    vwgts[:60, 1] = 10.0
+    two = Graph(g.xadj, g.adjncy, g.adjwgt, None, vwgts=vwgts)
+    # seed 1 balances the first dimension but not the second
+    req = PartitionRequest(k=4, seed=1)
+    assert _verdicts(manager, two, req) == [False, False, False]

@@ -90,6 +90,16 @@ def test_metrics_exposition(client):
     assert "repro_http_job_status_latency_seconds_count" in text
 
 
+def test_handler_histograms_count_one_post(server, client):
+    """One POST resolves one graph and encodes one response."""
+    names = ("graph_resolve_seconds_count", "response_encode_seconds_count")
+    before = server.registry.scalars()
+    client.submit(PartitionRequest(k=2, seed=6), graph_spec=SPEC)
+    after = server.registry.scalars()
+    for name in names:
+        assert after[name] - before[name] == 1, name
+
+
 def test_request_id_echoed_and_stamped(server):
     """A client-supplied X-Repro-Request-Id comes back on the response
     and lands in the job status; without one the server generates an
