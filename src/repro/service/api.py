@@ -89,9 +89,15 @@ class PartitionRequest:
     def cache_key(self, g: Graph,
                   cfg: Optional[KappaConfig] = None) -> str:
         """Deterministic result-cache / checkpoint-style identity."""
+        return self.signature_key(g.cached_signature(), cfg)
+
+    def signature_key(self, signature: str,
+                      cfg: Optional[KappaConfig] = None) -> str:
+        """:meth:`cache_key` for the graph whose content signature is
+        ``signature`` — a lookup that needs no :class:`Graph`."""
         cfg = self.config() if cfg is None else cfg
         pes = cfg.n_pes if cfg.n_pes is not None else self.k
-        return (f"{config_hash(cfg)}:{g.cached_signature()}"
+        return (f"{config_hash(cfg)}:{signature}"
                 f":k={self.k}:seed={self.seed}"
                 f":exec={self.execution}:pes={pes}")
 

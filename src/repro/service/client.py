@@ -110,19 +110,21 @@ class ServiceClient:
     def jobs(self) -> List[Dict[str, Any]]:
         return self._request("GET", "/v1/jobs")["jobs"]
 
-    def wait(self, job_id: str, timeout_s: float = 60.0,
-             poll_s: float = 0.02) -> Dict[str, Any]:
-        """Poll until the job leaves queued/running; the final status."""
+    def wait(self, job_id: str, timeout_s: float = 60.0) -> Dict[str, Any]:
+        """Long-poll until the job leaves queued/running; the final
+        status.  Each request asks the server to hold its answer for at
+        most half the socket timeout, so a held answer never times out."""
         deadline = time.monotonic() + timeout_s
         while True:
-            doc = self.status(job_id)
+            hold = max(0.0, min(deadline - time.monotonic(),
+                                self.timeout_s / 2))
+            doc = self._request("GET", f"/v1/jobs/{job_id}?wait={hold:.3f}")
             if doc["state"] in ("done", "failed"):
                 return doc
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {doc['state']} "
                     f"after {timeout_s:.1f}s")
-            time.sleep(poll_s)
 
     def result(self, job_id: str) -> PartitionResult:
         doc = self._request("GET", f"/v1/jobs/{job_id}/result")

@@ -16,19 +16,22 @@ A service request names its graph in one of three ways, all JSON:
 short human-readable description used in job listings.  It runs in the
 HTTP handler thread, before admission control, so a generator spec is
 checked against fixed size bounds before any generator runs: a tiny
-body must not be able to ask for a huge graph.
+body must not be able to ask for a huge graph.  ``describe_spec`` runs
+the same checks without building anything; a generator spec's
+description is canonical, which lets the server recognise a spec whose
+graph it has built before.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..graph.csr import Graph
 from ..graph.io import read_metis, write_metis
 
 __all__ = ["GENERATORS", "MAX_NODES", "MAX_EDGES", "GraphSpecError",
-           "resolve_graph", "graph_to_spec"]
+           "describe_spec", "resolve_graph", "graph_to_spec"]
 
 #: family -> (generator function name in :mod:`repro.generators`, defaults);
 #: shared with the ``repro generate`` CLI subcommand
@@ -79,12 +82,10 @@ def _nominal_size(family: str, p: Dict[str, int]) -> Tuple[int, int]:
     return p["n"], 0
 
 
-def resolve_graph(spec: Any) -> Tuple[Graph, str]:
-    """Resolve a JSON graph spec to ``(graph, description)``.
-
-    Raises :class:`GraphSpecError` on malformed specs; METIS parse
-    errors surface as the same type so the server can answer 400.
-    """
+def _checked(spec: Any) -> Optional[Tuple[str, Dict[str, int]]]:
+    """Validate ``spec`` without building anything: a generator spec's
+    ``(family, params)`` after defaults and type coercion, or ``None``
+    for an upload (its METIS text is only checked when parsed)."""
     if not isinstance(spec, dict):
         raise GraphSpecError("graph spec must be a JSON object")
     kinds = {k for k in ("metis", "generator") if k in spec}
@@ -95,11 +96,7 @@ def resolve_graph(spec: Any) -> Tuple[Graph, str]:
         text = spec["metis"]
         if not isinstance(text, str) or not text.strip():
             raise GraphSpecError("'metis' must be a non-empty string")
-        try:
-            g = read_metis(io.StringIO(text))
-        except ValueError as exc:
-            raise GraphSpecError(f"bad METIS text: {exc}") from None
-        return g, f"upload(n={g.n}, m={g.m})"
+        return None
     gen = spec["generator"]
     if not isinstance(gen, dict) or "family" not in gen:
         raise GraphSpecError("'generator' must be an object with a 'family'")
@@ -108,7 +105,7 @@ def resolve_graph(spec: Any) -> Tuple[Graph, str]:
         raise GraphSpecError(
             f"unknown generator family {family!r}; "
             f"known: {sorted(GENERATORS)}")
-    fn_name, defaults = GENERATORS[family]
+    _, defaults = GENERATORS[family]
     params = dict(defaults)
     overrides = gen.get("params") or {}
     if not isinstance(overrides, dict):
@@ -132,15 +129,50 @@ def resolve_graph(spec: Any) -> Tuple[Graph, str]:
         raise GraphSpecError(
             f"{family!r} spec is too large: at most {MAX_NODES} nodes "
             f"and {MAX_EDGES} edges")
+    return family, params
+
+
+def _describe(family: str, params: Dict[str, int]) -> str:
+    pretty = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return f"{family}({pretty})"
+
+
+def describe_spec(spec: Any) -> Optional[str]:
+    """Validate a JSON graph spec without building its graph.
+
+    A generator spec gets its canonical description — the family and
+    every parameter after defaults and type coercion, e.g.
+    ``rgg(n=2048, seed=5)`` — which names one graph exactly, since the
+    generators are deterministic; an upload gets ``None``.  Raises
+    :class:`GraphSpecError` wherever :func:`resolve_graph` would before
+    building.
+    """
+    checked = _checked(spec)
+    return None if checked is None else _describe(*checked)
+
+
+def resolve_graph(spec: Any) -> Tuple[Graph, str]:
+    """Resolve a JSON graph spec to ``(graph, description)``.
+
+    Raises :class:`GraphSpecError` on malformed specs; METIS parse
+    errors surface as the same type so the server can answer 400.
+    """
+    checked = _checked(spec)
+    if checked is None:
+        try:
+            g = read_metis(io.StringIO(spec["metis"]))
+        except ValueError as exc:
+            raise GraphSpecError(f"bad METIS text: {exc}") from None
+        return g, f"upload(n={g.n}, m={g.m})"
+    family, params = checked
     from .. import generators
 
     try:
-        g = getattr(generators, fn_name)(**params)
+        g = getattr(generators, GENERATORS[family][0])(**params)
     except (TypeError, ValueError) as exc:
         raise GraphSpecError(
             f"cannot generate {family!r} graph: {exc}") from None
-    pretty = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return g, f"{family}({pretty})"
+    return g, _describe(family, params)
 
 
 def graph_to_spec(g: Graph) -> Dict[str, str]:

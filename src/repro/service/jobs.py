@@ -12,7 +12,9 @@ in the thread.  Admission is decided synchronously at submit time:
 
 * result-cache hit → the job completes immediately, **no worker runs**
   (the "cache hits skip partitioning entirely" guarantee — verified by
-  the ``cache_hits`` vs ``jobs_executed`` counters);
+  the ``cache_hits`` vs ``jobs_executed`` counters); a generator spec
+  whose graph the server has built before is looked up by its
+  remembered content signature, so such a hit builds no graph either;
 * queue full (``queued >= queue_limit``) → :class:`QueueFull` (503);
 * draining after SIGTERM → :class:`Draining` (503) while in-flight
   jobs run to completion.
@@ -31,6 +33,7 @@ import json
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -230,6 +233,10 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._job_order: List[str] = []
         self._sessions: Dict[str, SessionHandle] = {}
+        #: generator spec description -> its graph's (signature, n), LRU,
+        #: at most ``max_jobs_kept`` entries (see :meth:`remember_graph`)
+        self._known_specs: "OrderedDict[str, Tuple[str, int]]" = \
+            OrderedDict()
         self._queued = 0
         self._inflight = 0
         self._draining = False
@@ -304,16 +311,20 @@ class JobManager:
             job.state = "running"
         self.registry.histogram("job_wait_seconds").observe(
             job.started_at - job.submitted_at)
+        error: Optional[str] = "interrupted"
         try:
             job.result = fn(job, *args)
-            job.state = "done"
-            self.registry.counter("jobs_completed").inc()
+            error = None
         except Exception as exc:  # job errors land on the job record
-            job.state = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-            self.registry.counter("jobs_failed").inc()
+            error = f"{type(exc).__name__}: {exc}"
         finally:
+            job.error = error
             job.finished_at = time.time()
+            # the state goes last: a reader that sees done (failed) also
+            # sees the job's finish time and result (error)
+            job.state = "done" if error is None else "failed"
+            self.registry.counter(
+                "jobs_completed" if error is None else "jobs_failed").inc()
             self.registry.histogram("job_run_seconds").observe(
                 job.finished_at - job.started_at)
             self.registry.counter("jobs_executed").inc()
@@ -326,9 +337,9 @@ class JobManager:
     def _finish_cached(self, job: Job, result: PartitionResult) -> Job:
         """Complete a cache-hit job synchronously — no queue, no worker."""
         job.cache_hit = True
-        job.state = "done"
         job.result = result
         job.started_at = job.finished_at = time.time()
+        job.state = "done"
         self.registry.counter("jobs_submitted").inc()
         self.registry.counter("jobs_cache_hits").inc()
         self.registry.counter("jobs_completed").inc()
@@ -341,6 +352,51 @@ class JobManager:
     # ------------------------------------------------------------------
     # submit paths
     # ------------------------------------------------------------------
+    def remember_graph(self, description: str, graph: Graph) -> None:
+        """Record that the generator spec ``description`` (its
+        :func:`~repro.service.graphspec.describe_spec`) builds ``graph``,
+        so :meth:`submit_known` can find its results without building it
+        again.  Keeps the signature and node count, not the graph."""
+        known = (graph.cached_signature(), graph.n)
+        with self._lock:
+            self._known_specs[description] = known
+            self._known_specs.move_to_end(description)
+            while len(self._known_specs) > self.max_jobs_kept:
+                self._known_specs.popitem(last=False)
+
+    def submit_known(self, description: Optional[str],
+                     request: PartitionRequest,
+                     tenant: str = "anonymous",
+                     request_id: Optional[str] = None) -> Optional[Job]:
+        """A partition job finished from the cache without its graph:
+        when :meth:`remember_graph` knows the spec ``description`` and
+        the cache holds the result.  ``None`` otherwise — the caller then
+        builds the graph and goes through :meth:`submit_partition`.
+        Raises :class:`RequestError` when ``k`` exceeds the known graph's
+        node count."""
+        if description is None:
+            return None
+        with self._lock:
+            known = self._known_specs.get(description)
+            if known is not None:
+                self._known_specs.move_to_end(description)
+        if known is None:
+            return None
+        signature, n = known
+        if request.k > n:
+            raise RequestError(f"k={request.k} exceeds the graph's {n} nodes")
+        key = request.signature_key(signature)
+        # the membership test counts nothing, so a miss is counted once,
+        # by submit_partition (an entry evicted between the two lookups
+        # is counted twice)
+        cached = self.cache.get(key) if key in self.cache else None
+        if cached is None:
+            return None
+        job = Job(id=_new_id("job"), kind="partition", tenant=tenant,
+                  request=request.to_json(), detail=description,
+                  request_id=request_id)
+        return self._finish_cached(job, cached)
+
     def submit_partition(self, graph: Graph, request: PartitionRequest,
                          tenant: str = "anonymous",
                          detail: str = "",

@@ -14,7 +14,7 @@ Routes (all JSON unless noted)::
     POST  /v1/sessions/<id>/patch   same (for PATCH-less clients)
     GET   /v1/sessions/<id>      session status
     GET   /v1/jobs               list jobs
-    GET   /v1/jobs/<id>          job status
+    GET   /v1/jobs/<id>          job status (``?wait=<s>``: long poll)
     GET   /v1/jobs/<id>/result   the PartitionResult (409 while pending)
     GET   /metrics               Prometheus text exposition
     GET   /healthz               liveness + drain state
@@ -24,24 +24,31 @@ shared :class:`~repro.observability.MetricsRegistry` (exposed at
 ``/metrics`` together with queue depth, cache ratios and job
 counters).  SIGTERM/SIGINT trigger a graceful drain: in-flight jobs
 finish, new submissions get 503, then the listener stops.
+
+``GET /v1/jobs/<id>?wait=<s>`` holds its answer until the job finishes
+or ``min(s, 10)`` seconds pass, so a client learns of a finished job
+when it finishes instead of at its next poll.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import signal
 import threading
 import time
+import urllib.parse
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from ..observability import MetricsRegistry, prometheus_text
 from .api import PartitionRequest, RequestError
-from .graphspec import GraphSpecError, resolve_graph
+from .graphspec import GraphSpecError, describe_spec, resolve_graph
 from .jobs import (
     AdmissionError,
+    Job,
     JobManager,
     UnknownJob,
     UnknownSession,
@@ -57,6 +64,9 @@ TENANT_HEADER = "X-Repro-Tenant"
 REQUEST_ID_HEADER = "X-Repro-Request-Id"
 DEFAULT_MAX_REQUEST_BYTES = 32 * 1024 * 1024  # 32 MiB
 
+#: longest a job-status GET holds its answer (``?wait=<s>``)
+MAX_WAIT_S = 10.0
+
 #: sub-second-biased buckets for HTTP endpoint latency
 _HTTP_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
@@ -64,6 +74,18 @@ _JOB_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9-]+)$")
 _JOB_RESULT_RE = re.compile(r"^/v1/jobs/([A-Za-z0-9-]+)/result$")
 _SESSION_RE = re.compile(r"^/v1/sessions/([A-Za-z0-9-]+)$")
 _SESSION_PATCH_RE = re.compile(r"^/v1/sessions/([A-Za-z0-9-]+)/patch$")
+
+
+def _wait_seconds(query: str) -> float:
+    """The long-poll time a job-status query asks for, capped at
+    :data:`MAX_WAIT_S`; 0 without ``wait``.  ValueError when malformed."""
+    values = urllib.parse.parse_qs(query, keep_blank_values=True)
+    if "wait" not in values:
+        return 0.0
+    wait = float(values["wait"][-1])
+    if not math.isfinite(wait) or wait < 0:
+        raise ValueError(wait)
+    return min(wait, MAX_WAIT_S)
 
 
 class PartitionServer(ThreadingHTTPServer):
@@ -224,7 +246,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
         t0 = time.perf_counter()
         self._resolve_request_id()
-        path = self.path.split("?", 1)[0]
+        path, _, query = self.path.partition("?")
         if path == "/healthz":
             self._send_json(200, {
                 "status": "draining" if self.server.manager.draining
@@ -248,6 +270,12 @@ class _Handler(BaseHTTPRequestHandler):
                 job = self.server.manager.job(match.group(1))
             except UnknownJob:
                 return self._error(404, f"unknown job {match.group(1)!r}")
+            try:
+                wait = _wait_seconds(query)
+            except ValueError:
+                return self._error(
+                    400, "'wait' must be a non-negative number of seconds")
+            job.wait(wait)
             self._send_json(200, job.status_json())
             return self._observe("job_status", t0)
         match = _JOB_RESULT_RE.match(path)
@@ -321,25 +349,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = PartitionRequest.from_json(body)
-            t_graph = time.perf_counter()
-            graph, detail = resolve_graph(body.get("graph"))
-            self.server.registry.histogram("graph_resolve_seconds").observe(
-                time.perf_counter() - t_graph)
-            if request.k > graph.n:
-                raise RequestError(
-                    f"k={request.k} exceeds the graph's {graph.n} nodes")
-            manager = self.server.manager
+            spec = body.get("graph")
+            description = describe_spec(spec)
             rid = getattr(self, "_request_id", None)
-            if hold_session:
-                job = manager.create_session(graph, request,
-                                             tenant=self.tenant,
-                                             detail=detail,
-                                             request_id=rid)
-            else:
-                job = manager.submit_partition(graph, request,
-                                               tenant=self.tenant,
-                                               detail=detail,
-                                               request_id=rid)
+            # a hit on a generator spec built before needs no graph
+            job = None if hold_session else self.server.manager.submit_known(
+                description, request, tenant=self.tenant, request_id=rid)
+            if job is None:
+                job = self._build_and_submit(spec, description, request,
+                                             hold_session, rid)
         except (RequestError, GraphSpecError) as exc:
             return self._error(400, str(exc))
         except AdmissionError as exc:
@@ -347,6 +365,27 @@ class _Handler(BaseHTTPRequestHandler):
                                retry_after=exc.retry_after_s)
         doc = job.status_json()
         self._send_json(200 if job.finished else 202, doc)
+
+    def _build_and_submit(self, spec: Any, description: Optional[str],
+                          request: PartitionRequest, hold_session: bool,
+                          rid: Optional[str]) -> Job:
+        """Build the request's graph, then submit the partition job or
+        open the session."""
+        manager = self.server.manager
+        t_graph = time.perf_counter()
+        graph, detail = resolve_graph(spec)
+        self.server.registry.histogram("graph_resolve_seconds").observe(
+            time.perf_counter() - t_graph)
+        if description is not None:
+            manager.remember_graph(description, graph)
+        if request.k > graph.n:
+            raise RequestError(
+                f"k={request.k} exceeds the graph's {graph.n} nodes")
+        if hold_session:
+            return manager.create_session(graph, request, tenant=self.tenant,
+                                          detail=detail, request_id=rid)
+        return manager.submit_partition(graph, request, tenant=self.tenant,
+                                        detail=detail, request_id=rid)
 
     def _patch(self, session_id: str) -> None:
         body = self._read_body()

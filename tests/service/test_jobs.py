@@ -288,3 +288,56 @@ def test_feasible_flag_covers_every_constraint_dimension(manager):
     # seed 1 balances the first dimension but not the second
     req = PartitionRequest(k=4, seed=1)
     assert _verdicts(manager, two, req) == [False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# a finished state is published last
+# ---------------------------------------------------------------------------
+
+class _SnapshotOnFinish(MetricsRegistry):
+    """A registry that records every job's status document at the moment
+    the manager counts a job completed or failed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.manager = None
+        self.snapshots = []
+
+    def counter(self, name):
+        counter = super().counter(name)
+        if name not in ("jobs_completed", "jobs_failed") \
+                or self.manager is None:
+            return counter
+        registry = self
+
+        class _Spy:
+            def inc(self, value=1.0):
+                registry.snapshots.extend(
+                    job.status_json() for job in registry.manager.jobs())
+                counter.inc(value)
+
+        return _Spy()
+
+
+def test_finished_state_is_published_after_its_record(rgg128):
+    registry = _SnapshotOnFinish()
+    mgr = JobManager(workers=1, queue_limit=8, registry=registry)
+    registry.manager = mgr
+    try:
+        done = mgr.submit_partition(rgg128, PartitionRequest(k=4, seed=14))
+        failed = mgr.submit_partition(rgg128, PartitionRequest(
+            k=4, seed=0, options={"objective": "mapping",
+                                  "topology": "3:5"}))
+        assert done.wait(timeout=30.0) and failed.wait(timeout=30.0)
+        assert (done.state, failed.state) == ("done", "failed")
+    finally:
+        mgr.drain(timeout=30.0)
+    states = {doc["state"] for doc in registry.snapshots}
+    assert states & {"done", "failed"}, "no snapshot saw a finished job"
+    for doc in registry.snapshots:
+        if doc["state"] in ("done", "failed"):
+            assert "finished_at" in doc and "wall_s" in doc, doc
+        if doc["state"] == "done":
+            assert "cut" in doc, doc
+        if doc["state"] == "failed":
+            assert "error" in doc, doc

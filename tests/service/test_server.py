@@ -399,3 +399,165 @@ def test_graceful_shutdown_mid_job():
     with pytest.raises(Draining):
         srv.manager.submit_partition(g, PartitionRequest(k=2, seed=25))
     assert time.perf_counter() - t0 < 60.0
+
+
+# ---------------------------------------------------------------------------
+# a repeated generator spec builds no graph
+# ---------------------------------------------------------------------------
+
+def _resolves(server) -> float:
+    return server.registry.scalars()["graph_resolve_seconds_count"]
+
+
+def test_generators_are_deterministic():
+    """The spec memo rests on this: a generator spec names one graph."""
+    from repro.service.graphspec import GENERATORS
+
+    small = {"rgg": {"n": 200}, "delaunay": {"n": 200},
+             "grid": {"rows": 10, "cols": 12},
+             "grid3d": {"nx": 5, "ny": 6, "nz": 4},
+             "road": {"n": 200, "n_cities": 4},
+             "social": {"n": 200, "m_per_node": 3},
+             "rmat": {"scale": 7, "edge_factor": 4}}
+    assert set(small) == set(GENERATORS)
+    for family, params in small.items():
+        spec = {"generator": {"family": family, "params": params}}
+        g1, d1 = resolve_graph(spec)
+        g2, d2 = resolve_graph(spec)
+        assert d1 == d2
+        assert g1.compute_signature() == g2.compute_signature(), family
+
+
+def test_repeated_spec_hit_builds_no_graph(server, client):
+    req = PartitionRequest(k=4, seed=31)
+    first = client.partition(req, graph_spec=SPEC)
+    before = server.registry.scalars()
+    hit = client.submit(req, graph_spec=SPEC)
+    after = server.registry.scalars()
+    assert hit["state"] == "done" and hit["cache_hit"]
+    assert hit["detail"] == "rgg(n=300, seed=1)"
+    assert after["graph_resolve_seconds_count"] \
+        == before["graph_resolve_seconds_count"]
+    assert after["cache_hits"] - before["cache_hits"] == 1
+    assert after["jobs_executed"] == before["jobs_executed"]
+    assert (client.result(hit["job"]).part == first.part).all()
+
+
+def test_spelled_out_default_hits_the_same_entry(server, client):
+    spec = {"generator": {"family": "rgg", "params": {"n": 300}}}
+    req = PartitionRequest(k=4, seed=32)
+    first = client.partition(req, graph_spec=spec)
+    resolves = _resolves(server)
+    spelled = {"generator": {"family": "rgg",
+                             "params": {"n": "300", "seed": 0}}}
+    hit = client.partition(req, graph_spec=spelled)
+    assert hit.cached and (hit.part == first.part).all()
+    assert _resolves(server) == resolves
+
+
+def test_other_seed_on_known_spec_builds_and_runs(server, client):
+    client.partition(PartitionRequest(k=4, seed=33), graph_spec=SPEC)
+    before = server.registry.scalars()
+    res = client.partition(PartitionRequest(k=4, seed=34), graph_spec=SPEC)
+    after = server.registry.scalars()
+    assert not res.cached
+    assert after["graph_resolve_seconds_count"] \
+        - before["graph_resolve_seconds_count"] == 1
+    assert after["jobs_executed"] - before["jobs_executed"] == 1
+    assert after["cache_misses"] - before["cache_misses"] == 1
+
+
+def test_known_spec_with_evicted_result_runs_again():
+    # room for one result of this graph: the second evicts the first
+    srv = create_server(port=0, workers=1, queue_limit=8, cache_bytes=4000)
+    srv.start_background()
+    try:
+        client = ServiceClient(srv.url)
+        req = PartitionRequest(k=4, seed=35)
+        client.partition(req, graph_spec=SPEC)
+        client.partition(PartitionRequest(k=4, seed=36), graph_spec=SPEC)
+        assert srv.registry.scalars()["cache_evictions"] >= 1
+        before = srv.registry.scalars()
+        again = client.partition(req, graph_spec=SPEC)
+        after = srv.registry.scalars()
+        assert not again.cached
+        assert after["graph_resolve_seconds_count"] \
+            - before["graph_resolve_seconds_count"] == 1
+        assert after["jobs_executed"] - before["jobs_executed"] == 1
+        assert after["cache_misses"] - before["cache_misses"] == 1
+        g, _ = resolve_graph(SPEC)
+        direct = execute_request(g, req)
+        assert (again.part == direct.part).all()
+        assert again.cut == direct.cut and again.cache_key == direct.cache_key
+    finally:
+        srv.drain_and_shutdown(timeout=30.0)
+
+
+def test_k_above_known_spec_nodes_400(server, client):
+    client.partition(PartitionRequest(k=2, seed=37), graph_spec=SPEC)
+    resolves = _resolves(server)
+    with pytest.raises(ServiceError) as err:
+        client.submit(PartitionRequest(k=301, seed=37), graph_spec=SPEC)
+    assert err.value.status == 400 and "300 nodes" in err.value.message
+    assert _resolves(server) == resolves
+
+
+# ---------------------------------------------------------------------------
+# job waits are long polls
+# ---------------------------------------------------------------------------
+
+BIG = {"generator": {"family": "rgg", "params": {"n": 6000, "seed": 4}}}
+
+
+def _status(url: str, job: str, query: str):
+    t0 = time.perf_counter()
+    with _raw(f"{url}/v1/jobs/{job}{query}") as resp:
+        return json.loads(resp.read()), time.perf_counter() - t0
+
+
+def test_long_poll_returns_when_the_job_finishes(server, client):
+    job = client.submit(PartitionRequest(k=4, seed=38), graph_spec=SPEC)
+    assert job["state"] != "done"
+    doc, elapsed = _status(server.url, job["job"], "?wait=5")
+    assert doc["state"] == "done" and "wall_s" in doc
+    assert elapsed < 4.0
+
+
+def test_long_poll_wait_zero_answers_at_once():
+    srv = create_server(port=0, workers=1, queue_limit=8)
+    srv.start_background()
+    try:
+        client = ServiceClient(srv.url)
+        job = client.submit(PartitionRequest(k=8, seed=39), graph_spec=BIG)
+        doc, elapsed = _status(srv.url, job["job"], "?wait=0")
+        assert doc["job"] == job["job"] and elapsed < 1.0
+        client.wait(job["job"])
+    finally:
+        srv.drain_and_shutdown(timeout=60.0)
+
+
+@pytest.mark.parametrize("query", ["?wait=abc", "?wait=-1", "?wait=nan",
+                                   "?wait="])
+def test_long_poll_malformed_wait_400(server, client, query):
+    job = client.submit(PartitionRequest(k=2, seed=40), graph_spec=SPEC)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _status(server.url, job["job"], query)
+    assert err.value.code == 400
+
+
+def test_client_wait_still_times_out():
+    srv = create_server(port=0, workers=1, queue_limit=8)
+    srv.start_background()
+    try:
+        client = ServiceClient(srv.url)
+        slow = client.submit(PartitionRequest(k=8, seed=41), graph_spec=BIG)
+        behind = client.submit(PartitionRequest(k=4, seed=42),
+                               graph_spec=SPEC)
+        t0 = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            client.wait(behind["job"], timeout_s=0.2)
+        assert time.perf_counter() - t0 < 2.0
+        assert client.wait(slow["job"])["state"] == "done"
+        assert client.wait(behind["job"])["state"] == "done"
+    finally:
+        srv.drain_and_shutdown(timeout=60.0)
